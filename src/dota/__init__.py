@@ -50,7 +50,7 @@ from .quant import (
     qdota_init,
     quantize_nf4,
 )
-from .tensor_core import DenseTensor, IndexPermutation, contract, matricize, permute, tensorize
+from .tensor_core import DenseTensor
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "DotaError",
     "FormatError",
     "Hyper",
-    "IndexPermutation",
     "LoraBaseline",
     "MpoShape",
     "NF4Codebook",
@@ -80,19 +79,16 @@ __all__ = [
     "ablate",
     "balanced_factors",
     "chain_gradients",
-    "contract",
     "default_tensor_shape",
     "dequantize_nf4",
     "derive_nf4_levels",
     "dota_init",
     "lora_init",
     "make_task",
-    "matricize",
     "max_ranks",
     "mpo_decompose",
     "nf4_codebook",
     "param_count",
-    "permute",
     "qdota_init",
     "quantize_nf4",
     "random_init_cores",
@@ -103,7 +99,6 @@ __all__ = [
     "reorder_for_mpo",
     "run_experiment",
     "summarize",
-    "tensorize",
     "truncated_ranks",
     "write_bundle",
     "write_matrix",

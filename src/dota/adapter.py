@@ -4,19 +4,20 @@ The adapter splits a pretrained weight W0 into a truncated core chain and
 the residual W0 - reconstruct(chain). The residual stays frozen, so the
 effective weight starts exactly at W0 and all training signal flows into
 the cores. Gradients w.r.t. each core are exact: the upstream weight
-gradient x^T dy is contracted against the chain's left and right
-environments, one pass each, so a full backward costs O(N) chain
-contractions.
+gradient x^T dy is contracted with the chain in one right-to-left pass,
+against the same left sweep that ``reconstruct`` runs, so a full
+backward costs two passes over the chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import ShapeError
-from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct, reorder_for_mpo
+from .mpo import CoreChain, MpoShape, _left_sweep, mpo_decompose, reconstruct, reorder_for_mpo
 from .tensor_core import DenseTensor
 
 
@@ -37,51 +38,50 @@ class CoreGradients:
                 raise ShapeError(f"gradient shape {g.shape} != core shape {c.shape}")
 
 
-def _mode_products(chain: CoreChain) -> list[int]:
-    return [i * j for i, j in zip(chain.in_factors, chain.out_factors)]
-
-
-def _left_environments(chain: CoreChain) -> list[np.ndarray]:
-    """L[k]: contraction of cores 0..k-1, as a (prod_{m<k} I_m J_m, r_{k-1}) matrix."""
-    prods = _mode_products(chain)
-    envs = [np.ones((1, 1))]
-    for k in range(len(chain) - 1):
-        core = chain.cores[k].data.astype(np.float64, copy=False)
-        r0, _, _, r1 = core.shape
-        grown = np.einsum("la,amb->lmb", envs[k], core.reshape(r0, prods[k], r1))
-        envs.append(grown.reshape(-1, r1))
-    return envs
-
-
-def _right_environments(chain: CoreChain) -> list[np.ndarray]:
-    """R[k]: contraction of cores k+1..N-1, as a (r_k, prod_{m>k} I_m J_m) matrix."""
-    prods = _mode_products(chain)
-    n = len(chain)
-    envs: list[np.ndarray] = [np.ones((1, 1))] * n
-    for k in range(n - 2, -1, -1):
-        core = chain.cores[k + 1].data.astype(np.float64, copy=False)
-        r0, _, _, r1 = core.shape
-        grown = np.einsum("amb,br->amr", core.reshape(r0, prods[k + 1], r1), envs[k + 1])
-        envs[k] = grown.reshape(r0, -1)
-    return envs
-
-
 def chain_gradients(chain: CoreChain, dw: np.ndarray) -> CoreGradients:
-    """Gradients of sum(dw * reconstruct(chain)) w.r.t. every core."""
-    shape = chain.shape
-    interleaved, _ = reorder_for_mpo(np.asarray(dw, dtype=np.float64), shape)
-    flat = interleaved.flatten()
-    prods = _mode_products(chain)
-    left = _left_environments(chain)
-    right = _right_environments(chain)
+    """Gradients of sum(dw * reconstruct(chain)) w.r.t. every core.
+
+    With L_k from the left sweep and E the interleaved dw contracted with
+    cores k+1..N-1, the gradient of core k is L_k^T @ E; E then absorbs
+    core k for the next core to the left.
+    """
+    interleaved, _ = reorder_for_mpo(np.asarray(dw, dtype=np.float64), chain.shape)
+    lefts = list(islice(_left_sweep(chain), len(chain)))
+    e = interleaved.data
     grads = []
-    for k in range(len(chain)):
-        p_left = left[k].shape[0]
-        p_right = right[k].shape[1]
-        d3 = flat.reshape(p_left, prods[k], p_right)
-        g = np.einsum("la,lmr,br->amb", left[k], d3, right[k])
-        grads.append(np.ascontiguousarray(g.reshape(chain.cores[k].shape)))
-    return CoreGradients(tuple(grads))
+    for left, core in zip(reversed(lefts), reversed(chain.cores)):
+        e = e.reshape(left.shape[0], -1)
+        grads.append((left.T @ e).reshape(core.shape))
+        e = e @ core.data.astype(np.float64, copy=False).reshape(core.shape[0], -1).T
+    return CoreGradients(tuple(reversed(grads)))
+
+
+def _checked_input(shape: MpoShape, x) -> np.ndarray:
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != shape.rows:
+        raise ShapeError(f"input shape {x.shape} does not match weight rows {shape.rows}")
+    return x
+
+
+def _checked_pair(shape: MpoShape, x, dy) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x)
+    dy = np.asarray(dy)
+    if x.ndim != 2 or dy.ndim != 2 or x.shape[0] != dy.shape[0]:
+        raise ShapeError(f"batch mismatch: x {x.shape} vs dy {dy.shape}")
+    if x.shape[1] != shape.rows or dy.shape[1] != shape.cols:
+        raise ShapeError(
+            f"x {x.shape} / dy {dy.shape} do not match weight {(shape.rows, shape.cols)}"
+        )
+    return x, dy
+
+
+def _stepped(chain: CoreChain, grads: CoreGradients, lr: float) -> CoreChain:
+    """One plain gradient-descent step on every core of the chain."""
+    grads.check_against(chain)
+    return CoreChain(tuple(
+        DenseTensor(c.data - lr * g.astype(c.dtype, copy=False))
+        for c, g in zip(chain.cores, grads.tensors)
+    ))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -123,43 +123,25 @@ class DotaAdapter:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """y = x @ w_res + x @ reconstruct(cores); the two branches are kept
         separate so the frozen and trainable paths stay distinguishable."""
-        x = np.asarray(x)
-        if x.ndim != 2 or x.shape[1] != self.shape.rows:
-            raise ShapeError(
-                f"input shape {x.shape} does not match weight rows {self.shape.rows}"
-            )
+        x = _checked_input(self.shape, x)
         return x @ self.w_res + x @ reconstruct(self.cores)
 
     def backward(self, x: np.ndarray, dy: np.ndarray) -> tuple[CoreGradients, np.ndarray]:
         """Gradients of the loss w.r.t. every core, plus the input gradient.
 
         ``dy`` is the loss gradient at the output. The weight gradient
-        x^T dy is contracted with the chain environments; dx uses the
-        merged effective weight, which is algebraically identical to
+        x^T dy goes through :func:`chain_gradients`; dx uses the merged
+        effective weight, which is algebraically identical to
         backpropagating the two branches separately.
         """
-        x = np.asarray(x)
-        dy = np.asarray(dy)
-        if x.ndim != 2 or dy.ndim != 2 or x.shape[0] != dy.shape[0]:
-            raise ShapeError(f"batch mismatch: x {x.shape} vs dy {dy.shape}")
-        if x.shape[1] != self.shape.rows or dy.shape[1] != self.shape.cols:
-            raise ShapeError(
-                f"x {x.shape} / dy {dy.shape} do not match weight "
-                f"{(self.shape.rows, self.shape.cols)}"
-            )
-        dw = x.T @ dy
-        grads = chain_gradients(self.cores, dw)
+        x, dy = _checked_pair(self.shape, x, dy)
+        grads = chain_gradients(self.cores, x.T @ dy)
         dx = dy @ self.merge().T
         return grads, dx
 
     def apply_gradients(self, grads: CoreGradients, lr: float) -> None:
         """One plain gradient-descent step on the cores; the residual is untouched."""
-        grads.check_against(self.cores)
-        stepped = [
-            DenseTensor(c.data - lr * g.astype(c.dtype, copy=False))
-            for c, g in zip(self.cores.cores, grads.tensors)
-        ]
-        self.cores = CoreChain(tuple(stepped))
+        self.cores = _stepped(self.cores, grads, lr)
 
 
 def dota_init(

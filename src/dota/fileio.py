@@ -150,10 +150,12 @@ def write_bundle(path, chain: CoreChain, residual=None) -> None:
 
 
 def _header_field(header: dict, name: str, kind) -> object:
+    # JSON decodes to exact builtin types; an exact match keeps true/false
+    # out of integer fields, since bool is a subclass of int.
     if name not in header:
         raise FormatError(f"bundle header missing field {name!r}")
     value = header[name]
-    if kind is not None and not isinstance(value, kind):
+    if type(value) is not kind:
         raise FormatError(f"bundle header field {name!r} has wrong type: {value!r}")
     return value
 
@@ -189,7 +191,7 @@ def read_bundle(path) -> Bundle:
     if dtype_name not in _NAME_DTYPES:
         raise FormatError(f"unknown dtype {dtype_name!r}")
     dtype = _NAME_DTYPES[dtype_name]
-    if not all(isinstance(v, int) and v >= 1 for v in in_factors + out_factors + ranks):
+    if not all(type(v) is int and v >= 1 for v in in_factors + out_factors + ranks):
         raise FormatError("factors and ranks must be positive integers")
 
     try:
@@ -215,7 +217,7 @@ def read_bundle(path) -> Bundle:
     block_size = header.get("block_size")
     if has_residual:
         if quantized:
-            if not isinstance(block_size, int) or block_size < 1:
+            if type(block_size) is not int or block_size < 1:
                 raise FormatError(f"bad block_size {block_size!r}")
             n_blocks = math.ceil(n_elements / block_size)
             expected += math.ceil(n_elements / 2) + n_blocks * dtype.itemsize

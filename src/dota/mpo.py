@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .tensor_core import DenseTensor, IndexPermutation
+from .tensor_core import DenseTensor
 
 # Default factorizations of common hidden dimensions (all chains of length 5).
 SHAPE_PRESETS: dict[int, tuple[int, ...]] = {
@@ -164,26 +164,29 @@ def truncated_ranks(shape: MpoShape, rank_threshold: int | None) -> tuple[int, .
                  for k, r in enumerate(full))
 
 
-def _interleaving(n: int) -> IndexPermutation:
-    axes = []
-    for k in range(n):
-        axes += [k, n + k]
-    return IndexPermutation(tuple(axes))
+def _interleaving(n: int) -> tuple[int, ...]:
+    """Axis order (0, n, 1, n + 1, ...) taking (I_1..I_N, J_1..J_N) to
+    (i_1, j_1, ..., i_N, j_N)."""
+    return tuple(a for k in range(n) for a in (k, n + k))
 
 
-def reorder_for_mpo(w: np.ndarray, shape: MpoShape) -> tuple[DenseTensor, IndexPermutation]:
+def _deinterleaving(n: int) -> tuple[int, ...]:
+    """Inverse of :func:`_interleaving`: (0, 2, ..., 2N - 2, 1, 3, ..., 2N - 1)."""
+    return tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+
+
+def reorder_for_mpo(w: np.ndarray, shape: MpoShape) -> tuple[DenseTensor, tuple[int, ...]]:
     """Tensorize W to (I_1..I_N, J_1..J_N) and interleave row/column factors.
 
     Returns the order-2N tensor with modes (i_1, j_1, ..., i_N, j_N) together
-    with the permutation that undoes the interleaving.
+    with the axis order that undoes the interleaving.
     """
     w = np.asarray(w)
     shape.check_matrix(w)
     n = shape.n_cores
     separated = w.reshape(shape.in_factors + shape.out_factors)
-    fwd = _interleaving(n)
-    interleaved = np.ascontiguousarray(np.transpose(separated, fwd.axes))
-    return DenseTensor(interleaved), fwd.inverse()
+    interleaved = np.ascontiguousarray(np.transpose(separated, _interleaving(n)))
+    return DenseTensor(interleaved), _deinterleaving(n)
 
 
 def _zero_chain(shape: MpoShape, dtype) -> CoreChain:
@@ -239,18 +242,30 @@ def mpo_decompose(
     return CoreChain.from_arrays([c.astype(out_dtype, copy=False) for c in cores])
 
 
+def _left_sweep(chain: CoreChain) -> Iterator[np.ndarray]:
+    """Yield L_0 = ones((1, 1)), then L_k, the float64 contraction of cores
+    0..k-1 as a (prod_{m<k} I_m J_m, r_k) matrix, in the interleaved layout.
+
+    Only the current matrix is kept, so a caller that needs every L_k has
+    to store them itself.
+    """
+    left = np.ones((1, 1))
+    yield left
+    for core in chain.cores:
+        r0, _, _, r1 = core.shape
+        left = (left @ core.data.astype(np.float64, copy=False).reshape(r0, -1)).reshape(-1, r1)
+        yield left
+
+
 def reconstruct(chain: CoreChain) -> np.ndarray:
     """Contract the chain over its bonds and reassemble the full matrix."""
-    n = len(chain)
-    acc = chain.cores[0].data.astype(np.float64, copy=False)
-    for core in chain.cores[1:]:
-        acc = np.tensordot(acc, core.data.astype(np.float64, copy=False), axes=1)
-    # acc has modes (1, i_1, j_1, ..., i_N, j_N, 1); drop the boundary bonds,
-    # undo the interleaving, and flatten to (prod I, prod J).
-    acc = acc.reshape(acc.shape[1:-1])
-    inv = _interleaving(n).inverse()
-    separated = np.transpose(acc, inv.axes)
+    for left in _left_sweep(chain):
+        pass
+    # left is (prod I_k J_k, 1) in the interleaved layout (i_1, j_1, ...);
+    # undo the interleaving and flatten to (prod I, prod J).
     shape = chain.shape
+    interleaved = left.reshape([f for ij in zip(shape.in_factors, shape.out_factors) for f in ij])
+    separated = np.transpose(interleaved, _deinterleaving(len(chain)))
     out = separated.reshape(shape.rows, shape.cols)
     return np.ascontiguousarray(out.astype(chain.dtype, copy=False))
 

@@ -17,8 +17,14 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
-from .adapter import CoreGradients, DotaAdapter, chain_gradients
-from .tensor_core import DenseTensor
+from .adapter import (
+    CoreGradients,
+    DotaAdapter,
+    _checked_input,
+    _checked_pair,
+    _stepped,
+    chain_gradients,
+)
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -230,28 +236,18 @@ class QdotaAdapter:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """y = x @ Dequant(residual) + x @ reconstruct(cores)."""
-        x = np.asarray(x)
-        if x.ndim != 2 or x.shape[1] != self.shape.rows:
-            raise ShapeError(
-                f"input shape {x.shape} does not match weight rows {self.shape.rows}"
-            )
+        x = _checked_input(self.shape, x)
         return x @ self.dequantized_residual() + x @ reconstruct(self.cores)
 
     def backward(self, x: np.ndarray, dy: np.ndarray) -> tuple[CoreGradients, np.ndarray]:
         """Core gradients only; the quantized residual receives no updates."""
-        x = np.asarray(x)
-        dy = np.asarray(dy)
+        x, dy = _checked_pair(self.shape, x, dy)
         grads = chain_gradients(self.cores, x.T @ dy)
         dx = dy @ self.merge().T
         return grads, dx
 
     def apply_gradients(self, grads: CoreGradients, lr: float) -> None:
-        grads.check_against(self.cores)
-        stepped = [
-            DenseTensor(c.data - lr * g.astype(c.dtype, copy=False))
-            for c, g in zip(self.cores.cores, grads.tensors)
-        ]
-        self.cores = CoreChain(tuple(stepped))
+        self.cores = _stepped(self.cores, grads, lr)
 
 
 def qdota_init(

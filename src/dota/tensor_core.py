@@ -1,14 +1,13 @@
-"""Dense order-N tensors and the reshape/permute/contract algebra.
+"""Immutable dense tensors.
 
 Everything is stored row-major (C order, last index fastest) and every
-operation returns a fresh, read-only tensor. Axes are numbered from 0.
-Only float32 and float64 payloads are supported; float64 is the default.
+tensor wraps a fresh, read-only array. Axes are numbered from 0. Only
+float32 and float64 payloads are supported; float64 is the default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,12 +24,11 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseTensor:
     """Immutable dense tensor: an order-N array with explicit mode sizes.
 
-    The wrapped array is C-contiguous and read-only; ``flatten`` therefore
-    exposes exactly the row-major element order.
+    The wrapped array is C-contiguous and read-only.
     """
 
     data: np.ndarray
@@ -62,88 +60,3 @@ class DenseTensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    def flatten(self) -> np.ndarray:
-        """Row-major flattening; inverse of :func:`tensorize`."""
-        return self.data.reshape(-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.dtype == other.dtype
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-
-@dataclass(frozen=True)
-class IndexPermutation:
-    """A bijection on tensor axes {0..N-1}, stored as the output axis order."""
-
-    axes: tuple[int, ...]
-
-    def __post_init__(self):
-        axes = tuple(int(a) for a in self.axes)
-        if sorted(axes) != list(range(len(axes))):
-            raise ShapeError(f"not a permutation of 0..{len(axes) - 1}: {axes}")
-        object.__setattr__(self, "axes", axes)
-
-    def __len__(self) -> int:
-        return len(self.axes)
-
-    def inverse(self) -> "IndexPermutation":
-        inv = np.argsort(self.axes)
-        return IndexPermutation(tuple(int(i) for i in inv))
-
-
-def tensorize(vec, shape: Sequence[int], dtype=None) -> DenseTensor:
-    """Reshape a flat array into an order-N tensor (row-major fill)."""
-    v = np.asarray(vec, dtype=dtype)
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    shape = tuple(int(s) for s in shape)
-    n_expected = int(np.prod(shape))
-    if v.size != n_expected:
-        raise ShapeError(
-            f"cannot tensorize {v.size} elements into shape {shape} "
-            f"({n_expected} elements)"
-        )
-    return DenseTensor(v.reshape(shape))
-
-
-def matricize(t: DenseTensor, mode: int) -> DenseTensor:
-    """Mode-``mode`` matricization: rows index the chosen mode, columns the
-    remaining modes in ascending axis order (row-major within the group)."""
-    if not 0 <= mode < t.order:
-        raise ShapeError(f"mode {mode} out of range for order-{t.order} tensor")
-    m = np.moveaxis(t.data, mode, 0).reshape(t.shape[mode], -1)
-    return DenseTensor(m)
-
-
-def contract(a: DenseTensor, b: DenseTensor, k: int) -> DenseTensor:
-    """Contract the last ``k`` modes of ``a`` with the first ``k`` of ``b``.
-
-    The result carries a's leading modes followed by b's trailing modes;
-    each entry sums the product over the k shared indices.
-    """
-    if k < 1:
-        raise ShapeError("contraction needs at least one shared mode")
-    if k > a.order or k > b.order:
-        raise ShapeError(f"cannot contract {k} modes of order-{a.order} with order-{b.order}")
-    if a.shape[a.order - k :] != b.shape[:k]:
-        raise ShapeError(
-            f"shared modes disagree: {a.shape[a.order - k:]} vs {b.shape[:k]}"
-        )
-    if a.order + b.order - 2 * k < 1:
-        raise ShapeError("contraction would consume every mode")
-    return DenseTensor(np.tensordot(a.data, b.data, axes=k))
-
-
-def permute(t: DenseTensor, p: IndexPermutation | Iterable[int]) -> DenseTensor:
-    """Relabel modes: output mode m is input mode p[m]."""
-    if not isinstance(p, IndexPermutation):
-        p = IndexPermutation(tuple(p))
-    if len(p) != t.order:
-        raise ShapeError(f"permutation length {len(p)} != tensor order {t.order}")
-    return DenseTensor(np.transpose(t.data, p.axes))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dota import (
     CoreChain,
     DotaAdapter,
     MpoShape,
     ShapeError,
+    chain_gradients,
     dota_init,
     mpo_decompose,
     param_count,
@@ -18,15 +21,87 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
 
 
-def brute_force_weight(adapter):
-    """Residual plus chain contraction via raw nested tensordot calls."""
-    acc = adapter.cores.cores[0].data
-    for core in adapter.cores.cores[1:]:
-        acc = np.tensordot(acc, core.data, axes=1)
+def brute_force_contraction(chain):
+    """The chain as a dense matrix, via raw nested tensordot calls in float64."""
+    acc = chain.cores[0].data.astype(np.float64)
+    for core in chain.cores[1:]:
+        acc = np.tensordot(acc, core.data.astype(np.float64), axes=1)
     acc = acc.reshape(acc.shape[1:-1])
-    n = len(adapter.cores)
+    n = len(chain)
     sep = np.transpose(acc, [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
-    return adapter.w_res + sep.reshape(adapter.shape.rows, adapter.shape.cols)
+    return sep.reshape(chain.shape.rows, chain.shape.cols)
+
+
+def brute_force_weight(adapter):
+    """Residual plus chain contraction."""
+    return adapter.w_res + brute_force_contraction(adapter.cores)
+
+
+def einsum_chain_gradients(chain, dw):
+    """Reference core gradients: each core's left and right environments built
+    with einsum, then one three-operand einsum per core."""
+    n = len(chain)
+    cores = [c.data.astype(np.float64) for c in chain.cores]
+    prods = [i * j for i, j in zip(chain.in_factors, chain.out_factors)]
+    left = [np.ones((1, 1))]
+    for k in range(n - 1):
+        r0, _, _, r1 = cores[k].shape
+        grown = np.einsum("la,amb->lmb", left[k], cores[k].reshape(r0, prods[k], r1))
+        left.append(grown.reshape(-1, r1))
+    right = [np.ones((1, 1))] * n
+    for k in range(n - 2, -1, -1):
+        r0, _, _, r1 = cores[k + 1].shape
+        grown = np.einsum("amb,br->amr", cores[k + 1].reshape(r0, prods[k + 1], r1), right[k + 1])
+        right[k] = grown.reshape(r0, -1)
+    separated = dw.reshape(chain.in_factors + chain.out_factors)
+    flat = np.transpose(separated, [a for k in range(n) for a in (k, n + k)]).reshape(-1)
+    grads = []
+    for k in range(n):
+        d3 = flat.reshape(left[k].shape[0], prods[k], right[k].shape[1])
+        g = np.einsum("la,lmr,br->amb", left[k], d3, right[k])
+        grads.append(g.reshape(cores[k].shape))
+    return grads
+
+
+@st.composite
+def random_chains(draw):
+    """Chains of 1-4 cores, factors 1-4, bonds truncated at 1-4, f32 or f64."""
+    n = draw(st.integers(1, 4))
+    factors = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    shape = MpoShape(tuple(draw(factors)), tuple(draw(factors)))
+    ranks = truncated_ranks(shape, draw(st.integers(1, 4)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return CoreChain.from_arrays([
+        rng.normal(size=(ranks[k], i, j, ranks[k + 1])).astype(dtype)
+        for k, (i, j) in enumerate(zip(shape.in_factors, shape.out_factors))
+    ])
+
+
+SINGLE_CORE = CoreChain.from_arrays([rand((1, 3, 2, 1), seed=40)])
+
+
+class TestChainKernel:
+    @given(random_chains(), st.integers(0, 2**32 - 1))
+    @example(SINGLE_CORE, 41)
+    @settings(deadline=None, max_examples=60)
+    def test_gradients_match_einsum_reference(self, chain, seed):
+        dw = np.random.default_rng(seed).normal(size=(chain.shape.rows, chain.shape.cols))
+        grads = chain_gradients(chain, dw)
+        for g, ref, core in zip(grads.tensors, einsum_chain_gradients(chain, dw), chain.cores):
+            assert g.shape == core.shape
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @given(random_chains())
+    @example(SINGLE_CORE)
+    @settings(deadline=None, max_examples=60)
+    def test_reconstruct_matches_dense_oracle(self, chain):
+        out = reconstruct(chain)
+        oracle = brute_force_contraction(chain)
+        assert out.dtype == chain.dtype
+        assert out.shape == oracle.shape
+        tol = 1e-12 if chain.dtype == np.float64 else 1e-6
+        assert np.linalg.norm(out - oracle) <= tol * np.linalg.norm(oracle)
 
 
 def perturb_core(adapter, core_index, element, amount):

@@ -146,6 +146,30 @@ class TestBundleFile:
         with pytest.raises(FormatError):
             read_bundle(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("block_size", True),
+        ("original_rows", True),
+        ("original_cols", True),
+        ("in_factors", [True]),
+        ("out_factors", [True]),
+        ("ranks", [True, 1]),
+        ("ranks", [1, True]),
+    ])
+    def test_rejects_boolean_integer_fields(self, tmp_path, field, value):
+        # every integer field of this bundle is 1, so true leaves all sizes consistent
+        w = np.array([[2.0]])
+        chain = mpo_decompose(w, MpoShape((1,), (1,)))
+        path = tmp_path / "b.dotc"
+        write_bundle(path, chain, quantize_nf4(w - reconstruct(chain), 1))
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[5:9], "little")
+        header = json.loads(blob[9 : 9 + header_len])
+        header[field] = value
+        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:5] + len(new_header).to_bytes(4, "little") + new_header + blob[9 + header_len:])
+        with pytest.raises(FormatError):
+            read_bundle(path)
+
     def test_rejects_non_json_header(self, tmp_path):
         path = tmp_path / "b.dotc"
         garbage = b"DOTC" + bytes([1]) + (7).to_bytes(4, "little") + b"not-js" + b"x"

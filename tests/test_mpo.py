@@ -60,7 +60,7 @@ class TestReorder:
         t, inv = reorder_for_mpo(w, MpoShape((3,), (5,)))
         assert t.shape == (3, 5)
         assert np.array_equal(t.data, w)
-        assert inv.axes == (0, 1)
+        assert inv == (0, 1)
 
     def test_exhaustive_index_map(self):
         w = rand((4, 4), seed=2)
@@ -76,7 +76,7 @@ class TestReorder:
         shape = MpoShape((2, 3, 4), (4, 3, 2))
         w = rand((24, 24), seed=3)
         t, inv = reorder_for_mpo(w, shape)
-        separated = np.transpose(t.data, inv.axes)
+        separated = np.transpose(t.data, inv)
         assert np.array_equal(separated.reshape(24, 24), w)
 
     def test_dimension_mismatch(self):

@@ -11,6 +11,7 @@ from dota import (
     NF4_LEVELS,
     NumericError,
     ParameterError,
+    ShapeError,
     dequantize_nf4,
     derive_nf4_levels,
     dota_init,
@@ -161,6 +162,11 @@ class TestQdota:
     def test_forward_zero_input(self):
         adapter = qdota_init(rand((8, 8), seed=11, scale=1.0), MpoShape.square([2, 4]), 2)
         assert not adapter.forward(np.zeros((3, 8))).any()
+
+    def test_batch_mismatch(self):
+        adapter = qdota_init(rand((8, 8), seed=19, scale=1.0), MpoShape.square([2, 4]), 2)
+        with pytest.raises(ShapeError):
+            adapter.backward(np.ones((3, 8)), np.ones((4, 8)))
 
     def test_forward_matches_dequantized_plain_adapter(self):
         w0 = rand((16, 16), seed=12, scale=1.0)

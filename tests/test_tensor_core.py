@@ -1,167 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dota import DenseTensor, IndexPermutation, ShapeError, contract, matricize, permute, tensorize
+from dota import DenseTensor, ShapeError
 
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
-
-
-small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4)
-
-
-class TestTensorize:
-    def test_identity_1d(self):
-        v = np.arange(6, dtype=float)
-        t = tensorize(v, [6])
-        assert t.shape == (6,)
-        assert np.array_equal(t.data, v)
-
-    def test_row_major_element(self):
-        t = tensorize(np.arange(24, dtype=float), [2, 3, 4])
-        assert t.data[1, 2, 3] == 23.0
-        assert t.data[0, 1, 0] == 4.0
-
-    def test_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensorize(np.arange(7, dtype=float), [2, 3])
-
-    @given(small_shapes)
-    @settings(deadline=None)
-    def test_flatten_roundtrip(self, shape):
-        n = int(np.prod(shape))
-        v = rand(n)
-        t = tensorize(v, shape)
-        assert np.array_equal(t.flatten(), v)
-        assert tensorize(t.flatten(), t.shape) == t
-
-    def test_invalid_order(self):
-        with pytest.raises(ShapeError):
-            tensorize(np.array([1.0]), [1, 0])
-
-
-class TestMatricize:
-    def test_matrix_mode0_is_itself(self):
-        m = rand((3, 5))
-        out = matricize(DenseTensor(m), 0)
-        assert np.array_equal(out.data, m)
-
-    def test_against_index_enumeration(self):
-        t = DenseTensor(rand((2, 3, 4), seed=3))
-        m = matricize(t, 1)
-        assert m.shape == (3, 8)
-        # columns enumerate the remaining modes (0, 2) in row-major order
-        for i0 in range(2):
-            for i1 in range(3):
-                for i2 in range(4):
-                    assert m.data[i1, i0 * 4 + i2] == t.data[i0, i1, i2]
-
-    def test_mode0_first_block(self):
-        t = tensorize(np.arange(24, dtype=float), [2, 3, 4])
-        m = matricize(t, 0)
-        assert m.shape == (2, 12)
-        assert np.array_equal(m.data[0], np.arange(12, dtype=float))
-
-    def test_mode_out_of_range(self):
-        t = DenseTensor(rand((2, 3)))
-        with pytest.raises(ShapeError):
-            matricize(t, 2)
-        with pytest.raises(ShapeError):
-            matricize(t, -1)
-
-
-class TestContract:
-    def test_identity_contraction(self):
-        b = rand((2, 3))
-        out = contract(DenseTensor(np.eye(2)), DenseTensor(b), 1)
-        assert np.allclose(out.data, b)
-
-    def test_against_nested_loops(self):
-        a = rand((2, 3, 4), seed=1)
-        b = rand((4, 5), seed=2)
-        out = contract(DenseTensor(a), DenseTensor(b), 1)
-        assert out.shape == (2, 3, 5)
-        expected = np.zeros((2, 3, 5))
-        for i in range(2):
-            for j in range(3):
-                for m in range(5):
-                    for s in range(4):
-                        expected[i, j, m] += a[i, j, s] * b[s, m]
-        assert np.allclose(out.data, expected, atol=1e-14)
-
-    def test_scalar_multiplier(self):
-        a = DenseTensor(np.array([[2.5]]))
-        b = DenseTensor(rand((1, 7)))
-        out = contract(a, b, 1)
-        assert np.allclose(out.data, 2.5 * b.data)
-
-    def test_shared_mode_mismatch(self):
-        with pytest.raises(ShapeError):
-            contract(DenseTensor(rand((2, 3))), DenseTensor(rand((4, 5))), 1)
-
-    def test_cannot_consume_all_modes(self):
-        t = DenseTensor(rand((2, 3)))
-        with pytest.raises(ShapeError):
-            contract(t, t, 2)
-
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 999))
-    @settings(deadline=None)
-    def test_matches_matmul(self, n, k, m, seed):
-        a = rand((n, k), seed=seed)
-        b = rand((k, m), seed=seed + 1)
-        out = contract(DenseTensor(a), DenseTensor(b), 1)
-        naive = np.zeros((n, m))
-        for i in range(n):
-            for j in range(m):
-                for s in range(k):
-                    naive[i, j] += a[i, s] * b[s, j]
-        eps = np.finfo(np.float64).eps
-        assert np.allclose(out.data, naive, atol=eps * k * 16)
-
-    def test_chain_association(self):
-        # contracting a 3-core chain left-to-right equals right-to-left
-        c1 = DenseTensor(rand((1, 2, 3, 4), seed=5))
-        c2 = DenseTensor(rand((4, 2, 3, 5), seed=6))
-        c3 = DenseTensor(rand((5, 2, 3, 1), seed=7))
-        left = contract(contract(c1, c2, 1), c3, 1)
-        right = contract(c1, contract(c2, c3, 1), 1)
-        diff = np.linalg.norm(left.data - right.data) / np.linalg.norm(left.data)
-        assert diff <= 1e-12
-
-
-class TestPermute:
-    def test_identity(self):
-        t = DenseTensor(rand((2, 3, 4)))
-        out = permute(t, IndexPermutation((0, 1, 2)))
-        assert np.array_equal(out.data, t.data)
-
-    def test_transpose(self):
-        t = DenseTensor(rand((2, 3)))
-        out = permute(t, (1, 0))
-        assert out.shape == (3, 2)
-        assert out.data[2, 1] == t.data[1, 2]
-
-    @given(st.permutations(range(4)), st.integers(0, 99))
-    @settings(deadline=None)
-    def test_inverse_roundtrip(self, axes, seed):
-        t = DenseTensor(rand((2, 3, 4, 2), seed=seed))
-        p = IndexPermutation(tuple(axes))
-        back = permute(permute(t, p), p.inverse())
-        assert np.array_equal(back.data, t.data)
-
-    def test_preserves_value_multiset(self):
-        t = DenseTensor(rand((3, 4, 2), seed=11))
-        out = permute(t, (2, 0, 1))
-        assert np.array_equal(np.sort(out.flatten()), np.sort(t.flatten()))
-
-    def test_invalid_permutation(self):
-        with pytest.raises(ShapeError):
-            IndexPermutation((0, 0, 1))
-        with pytest.raises(ShapeError):
-            permute(DenseTensor(rand((2, 3))), (0, 1, 2))
 
 
 class TestDenseTensor:
