@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .mpo import CoreChain, MpoShape, _left_sweep, mpo_decompose, reconstruct, reorder_for_mpo
 from .tensor_core import DenseTensor
 
@@ -76,8 +76,11 @@ def _checked_pair(shape: MpoShape, x, dy) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stepped(chain: CoreChain, grads: CoreGradients, lr: float) -> CoreChain:
-    """One plain gradient-descent step on every core of the chain."""
+    """One plain gradient-descent step on every core of the chain. A
+    non-finite rate or gradient entry raises before any core changes."""
     grads.check_against(chain)
+    if not (np.isfinite(lr) and all(np.isfinite(g).all() for g in grads.tensors)):
+        raise NumericError("non-finite learning rate or gradient entry")
     return CoreChain(tuple(
         DenseTensor(c.data - lr * g.astype(c.dtype, copy=False))
         for c, g in zip(chain.cores, grads.tensors)

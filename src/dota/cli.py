@@ -66,6 +66,8 @@ def _cmd_decompose(args) -> int:
         raise _UsageError(str(exc)) from exc
     if args.rank is not None and args.rank < 1:
         raise _UsageError(f"--rank must be >= 1, got {args.rank}")
+    if args.block_size < 1:
+        raise _UsageError(f"--block-size must be >= 1, got {args.block_size}")
 
     chain = mpo_decompose(w, shape, args.rank)
     residual = w - reconstruct(chain)

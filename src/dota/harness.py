@@ -12,12 +12,13 @@ seed): every random draw comes from a named SeedSequence stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .adapter import DotaAdapter, dota_init
+from .adapter import DotaAdapter, chain_gradients, dota_init
 from .errors import ParameterError, ShapeError
 from .mpo import (
     SHAPE_PRESETS,
@@ -82,7 +83,6 @@ class SyntheticTask:
     delta_scale: float
     batch_size: int
     seed: int
-    input_std: float = 1.0
 
     @property
     def delta_fro_ratio(self) -> float:
@@ -98,7 +98,6 @@ def make_task(
     delta_scale: float,
     batch_size: int = 32,
     seed: int = 0,
-    input_std: float = 1.0,
 ) -> SyntheticTask:
     """Draw w0 and build the low-tensor-rank target perturbation.
 
@@ -115,6 +114,8 @@ def make_task(
         raise ParameterError(f"delta_scale must be finite and >= 0, got {delta_scale}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     rng = _rng(seed, _STREAM_TASK)
     sigma = 1.0 / math.sqrt(shape.rows)
     w0 = rng.normal(0.0, sigma, (shape.rows, shape.cols))
@@ -144,23 +145,17 @@ def make_task(
         delta_scale=float(delta_scale),
         batch_size=int(batch_size),
         seed=int(seed),
-        input_std=float(input_std),
     )
 
 
-def random_init_cores(
-    shape: MpoShape,
-    ranks: Sequence[int],
-    seed,
-    sigma: float | None = None,
-) -> CoreChain:
-    """Gaussian cores except the last, which is zero, so the chain's
-    contraction vanishes and training starts at the frozen base weight."""
+def random_init_cores(shape: MpoShape, ranks: Sequence[int], seed) -> CoreChain:
+    """Gaussian cores of std 1/sqrt(rows) except the last, which is zero, so
+    the chain's contraction vanishes and training starts at the frozen base
+    weight."""
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != shape.n_cores + 1 or ranks[0] != 1 or ranks[-1] != 1:
         raise ShapeError(f"bad rank list {ranks} for {shape.n_cores} cores")
-    if sigma is None:
-        sigma = 1.0 / math.sqrt(shape.rows)
+    sigma = 1.0 / math.sqrt(shape.rows)
     rng = np.random.default_rng(seed)
     arrays = []
     for k, (i, j) in enumerate(zip(shape.in_factors, shape.out_factors)):
@@ -194,14 +189,13 @@ class LoraBaseline:
         self.b = self.b - lr * gb
 
 
-def lora_init(w0: np.ndarray, rank: int, seed, sigma: float | None = None) -> LoraBaseline:
+def lora_init(w0: np.ndarray, rank: int, seed) -> LoraBaseline:
+    """LoRA factors with ``a`` of std 1/sqrt(rows) and ``b`` zero."""
     if rank < 1:
         raise ParameterError(f"rank must be >= 1, got {rank}")
     rows, cols = w0.shape
-    if sigma is None:
-        sigma = 1.0 / math.sqrt(rows)
     rng = np.random.default_rng(seed)
-    a = rng.normal(0.0, sigma, (rows, rank))
+    a = rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, rank))
     b = np.zeros((rank, cols))
     return LoraBaseline(w0=w0, a=a, b=b)
 
@@ -217,14 +211,14 @@ class Hyper:
 
     def __post_init__(self):
         problems = []
-        if self.steps < 0:
-            problems.append("steps must be >= 0")
+        for name, minimum in (("steps", 0), ("rank", 1), ("eval_every", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < minimum:
+                problems.append(f"{name} must be >= {minimum}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             problems.append("lr must be finite and > 0")
-        if self.rank < 1:
-            problems.append("rank must be >= 1")
-        if self.eval_every < 1:
-            problems.append("eval_every must be >= 1")
         if problems:
             raise ParameterError("; ".join(problems))
 
@@ -260,68 +254,54 @@ class TrainLog:
             fh.write("\n".join(self.csv_lines()) + "\n")
 
 
-class _MethodState:
-    """Per-method parameter state with a uniform weight/step interface."""
+@dataclass
+class _DenseWeight:
+    """Full fine-tuning: every entry of the weight is trainable."""
 
-    def __init__(self, task: SyntheticTask, method: str, hyper: Hyper):
-        if method not in _METHOD_IDS:
-            raise ParameterError(f"unknown method {method!r} (expected one of {METHODS})")
-        self.method = method
-        shape = task.shape
-        init_rng_key = (task.seed, _STREAM_INIT, _METHOD_IDS[method])
-        if method == "dota":
-            self.adapter = dota_init(task.w0, shape, hyper.rank)
-        elif method == "dota-random":
-            chain = random_init_cores(
-                shape,
-                truncated_ranks(shape, hyper.rank),
-                np.random.SeedSequence([*init_rng_key]),
-            )
-            self.adapter = DotaAdapter(w_res=task.w0, cores=chain, shape=shape)
-        elif method == "lora":
-            self.lora = lora_init(
-                task.w0, hyper.rank, np.random.SeedSequence([*init_rng_key])
-            )
-        elif method == "full-ft":
-            self.w = task.w0.copy()
+    w: np.ndarray
 
     @property
     def trainable_params(self) -> int:
-        if self.method in ("dota", "dota-random"):
-            return self.adapter.trainable_params
-        if self.method == "lora":
-            return self.lora.trainable_params
         return self.w.size
 
     def effective_weight(self) -> np.ndarray:
-        if self.method in ("dota", "dota-random"):
-            return self.adapter.merge()
-        if self.method == "lora":
-            return self.lora.effective_weight()
         return self.w
 
-    def train_step(self, x: np.ndarray, y_target: np.ndarray, lr: float) -> float:
-        """One gradient-descent step on the batch; returns the pre-update loss."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.method in ("dota", "dota-random"):
-                y = self.adapter.forward(x)
-                loss = float(np.mean((y - y_target) ** 2))
-                if math.isfinite(loss):
-                    dy = 2.0 * (y - y_target) / y.size
-                    grads, _ = self.adapter.backward(x, dy)
-                    self.adapter.apply_gradients(grads, lr)
-                return loss
-            w = self.effective_weight()
-            y = x @ w
-            loss = float(np.mean((y - y_target) ** 2))
-            if not math.isfinite(loss):
-                return loss
-            dw = x.T @ (2.0 * (y - y_target) / y.size)
-            if self.method == "lora":
-                self.lora.gradient_step(dw, lr)
-            else:
-                self.w = self.w - lr * dw
-            return loss
+    def gradient_step(self, dw: np.ndarray, lr: float) -> None:
+        self.w = self.w - lr * dw
+
+
+@dataclass
+class _ChainWeight:
+    """A core chain over a frozen residual, stepped through its core gradients."""
+
+    adapter: DotaAdapter
+
+    @property
+    def trainable_params(self) -> int:
+        return self.adapter.trainable_params
+
+    def effective_weight(self) -> np.ndarray:
+        return self.adapter.merge()
+
+    def gradient_step(self, dw: np.ndarray, lr: float) -> None:
+        self.adapter.apply_gradients(chain_gradients(self.adapter.cores, dw), lr)
+
+
+def _init_method(task: SyntheticTask, method: str, hyper: Hyper):
+    """The trainable state of one method, started at the task's w0."""
+    if method not in _METHOD_IDS:
+        raise ParameterError(f"unknown method {method!r} (expected one of {METHODS})")
+    seed = np.random.SeedSequence([task.seed, _STREAM_INIT, _METHOD_IDS[method]])
+    if method == "dota":
+        return _ChainWeight(dota_init(task.w0, task.shape, hyper.rank))
+    if method == "dota-random":
+        ranks = truncated_ranks(task.shape, hyper.rank)
+        chain = random_init_cores(task.shape, ranks, seed)
+        return _ChainWeight(DotaAdapter(w_res=task.w0, cores=chain, shape=task.shape))
+    if method == "lora":
+        return lora_init(task.w0, hyper.rank, seed)
+    return _DenseWeight(task.w0.copy())
 
 
 def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
@@ -330,19 +310,17 @@ def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
 
     The batch stream is a function of (task seed, step index) only, so all
     methods on the same task see identical data. A non-finite loss aborts
-    the run; the partial log is returned with ``diverged`` set.
+    the run; the partial log is returned with ``diverged`` set. Every method
+    takes the same step: the dense weight gradient x^T dy of the mean squared
+    error at its effective weight goes to its ``gradient_step``.
     """
-    state = _MethodState(task, method, hyper)
-    rows = task.shape.rows
-    x_eval = _rng(task.seed, _STREAM_EVAL).normal(
-        0.0, task.input_std, (task.batch_size, rows)
-    )
+    state = _init_method(task, method, hyper)
+    batch_shape = (task.batch_size, task.shape.rows)
+    x_eval = _rng(task.seed, _STREAM_EVAL).standard_normal(batch_shape)
     y_eval = x_eval @ task.w_star
 
     def batch(t: int) -> np.ndarray:
-        return _rng(task.seed, _STREAM_BATCH, t).normal(
-            0.0, task.input_std, (task.batch_size, rows)
-        )
+        return _rng(task.seed, _STREAM_BATCH, t).standard_normal(batch_shape)
 
     log = TrainLog(
         method=method,
@@ -373,7 +351,11 @@ def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
         return log
     for t in range(1, hyper.steps + 1):
         xb = batch(t)
-        loss = state.train_step(xb, xb @ task.w_star, hyper.lr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = xb @ state.effective_weight() - xb @ task.w_star
+            loss = float(np.mean(err**2))
+            if math.isfinite(loss):
+                state.gradient_step(xb.T @ (2.0 * err / err.size), hyper.lr)
         if not math.isfinite(loss):
             log.diverged = True
             log.diverged_at = t

@@ -17,14 +17,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
-from .adapter import (
-    CoreGradients,
-    DotaAdapter,
-    _checked_input,
-    _checked_pair,
-    _stepped,
-    chain_gradients,
-)
+from .adapter import CoreGradients, _checked_input, _checked_pair, _stepped, chain_gradients
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -132,6 +125,8 @@ class QuantizedMatrix:
     dtype: np.dtype = np.dtype(np.float64)
 
     def __post_init__(self):
+        if self.block_size < 1:
+            raise ParameterError(f"block size must be >= 1, got {self.block_size}")
         n = self.rows * self.cols
         n_blocks = math.ceil(n / self.block_size)
         if self.packed.dtype != np.uint8 or self.packed.size != math.ceil(n / 2):
@@ -261,9 +256,3 @@ def qdota_init(
     cores = mpo_decompose(w0, shape, rank_threshold)
     w_res = w0 - reconstruct(cores)
     return QdotaAdapter(q_res=quantize_nf4(w_res, block_size), cores=cores, shape=shape)
-
-
-def residual_quantization_error(adapter: DotaAdapter, block_size: int = DEFAULT_BLOCK_SIZE) -> float:
-    """Frobenius norm of Dequant(Quant(w_res)) - w_res for a plain adapter."""
-    q = quantize_nf4(adapter.w_res, block_size)
-    return float(np.linalg.norm(dequantize_nf4(q).astype(np.float64) - adapter.w_res))

@@ -270,6 +270,25 @@ class TestCliDecomposeReconstruct:
         assert code == 2
         assert "preset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--rank", "--block-size"])
+    def test_bad_integer_option_is_usage_error_before_decomposing(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        def no_decompose(*args, **kwargs):
+            raise AssertionError("decomposed before rejecting the option")
+
+        monkeypatch.setattr("dota.cli.mpo_decompose", no_decompose)
+        src = tmp_path / "w.dotm"
+        write_matrix(src, rand((16, 16), seed=10))
+        out = tmp_path / "o.dotc"
+        code = main([
+            "decompose", "--input", str(src), "--shape-in", "4,4", "--shape-out", "4,4",
+            "--quantize-residual", flag, "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_input_is_runtime_error(self, tmp_path, capsys):
         src = tmp_path / "w.dotm"
         src.write_bytes(b"garbage")

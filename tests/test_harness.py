@@ -9,6 +9,7 @@ from dota import (
     ablate,
     balanced_factors,
     default_tensor_shape,
+    dota_init,
     lora_init,
     make_task,
     mpo_decompose,
@@ -26,6 +27,36 @@ SHAPE_64 = MpoShape.square([4, 4, 4])
 
 def small_task(seed=1, r_delta=4, delta_scale=0.05):
     return make_task(SHAPE_64, r_delta=r_delta, delta_scale=delta_scale, seed=seed)
+
+
+def reference_dota_records(task, hyper):
+    """The records of a dota run, stepped through the adapter's own
+    forward/backward/apply_gradients on the harness's batch streams
+    (SeedSequence [seed, 1, step] for training, [seed, 2] for eval)."""
+
+    def draw(*key):
+        rng = np.random.default_rng(np.random.SeedSequence(list(key)))
+        return rng.standard_normal((task.batch_size, task.shape.rows))
+
+    adapter = dota_init(task.w0, task.shape, hyper.rank)
+    x_eval = draw(task.seed, 2)
+    records = []
+
+    def record(step):
+        w = adapter.merge()
+        xb = draw(task.seed, 1, step + 1)
+        train = float(np.mean((xb @ w - xb @ task.w_star) ** 2))
+        records.append((step, train, float(np.mean((x_eval @ w - x_eval @ task.w_star) ** 2))))
+
+    record(0)
+    for t in range(1, hyper.steps + 1):
+        xb = draw(task.seed, 1, t)
+        y = adapter.forward(xb)
+        grads, _ = adapter.backward(xb, 2.0 * (y - xb @ task.w_star) / y.size)
+        adapter.apply_gradients(grads, hyper.lr)
+        if t % hyper.eval_every == 0 or t == hyper.steps:
+            record(t)
+    return records
 
 
 class TestRandomInit:
@@ -80,6 +111,8 @@ class TestTask:
             make_task(SHAPE_64, r_delta=0, delta_scale=0.05)
         with pytest.raises(ParameterError):
             make_task(SHAPE_64, r_delta=2, delta_scale=-1.0)
+        with pytest.raises(ParameterError):
+            make_task(SHAPE_64, r_delta=2, delta_scale=0.05, batch_size=0)
 
 
 class TestRunExperiment:
@@ -121,6 +154,27 @@ class TestRunExperiment:
         assert log.diverged_at is not None
         assert all(np.isfinite(tr) and np.isfinite(ev) for _, tr, ev in log.records)
         assert len(log.records) < 21
+
+    def test_dota_matches_adapter_reference_loop(self):
+        task = small_task(seed=12, r_delta=8)
+        hyper = Hyper(steps=60, lr=0.1, rank=8, eval_every=15)
+        records = run_experiment(task, "dota", hyper).records
+        reference = reference_dota_records(task, hyper)
+        assert [r[0] for r in records] == [r[0] for r in reference]
+        np.testing.assert_allclose(
+            [r[1:] for r in records], [r[1:] for r in reference], rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("steps", 1.5), ("steps", True), ("rank", 2.5), ("rank", True),
+         ("eval_every", True), ("eval_every", 2.0)],
+    )
+    def test_hyper_requires_integer_counts(self, field, value):
+        kwargs = dict(steps=10, lr=0.1, rank=4, eval_every=5)
+        kwargs[field] = value
+        with pytest.raises(ParameterError):
+            Hyper(**kwargs)
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dota import (
+    CoreGradients,
     DotaAdapter,
     MpoShape,
     NF4_LEVELS,
     NumericError,
     ParameterError,
+    QuantizedMatrix,
     ShapeError,
+    chain_gradients,
     dequantize_nf4,
     derive_nf4_levels,
     dota_init,
@@ -87,6 +90,9 @@ class TestQuantize:
     def test_bad_block_size(self):
         with pytest.raises(ParameterError):
             quantize_nf4(np.zeros((2, 2)), 0)
+        q = quantize_nf4(np.zeros((2, 2)))
+        with pytest.raises(ParameterError):
+            QuantizedMatrix(q.packed, q.absmax, 0, 2, 2)
 
     @given(st.integers(0, 999), st.sampled_from([1, 3, 16, 64, 100]))
     @settings(deadline=None, max_examples=30)
@@ -131,6 +137,21 @@ class TestDequantize:
         q = quantize_nf4(w, 6)
         codes = q.codes()
         assert q.packed[0] == (codes[0] | (codes[1] << 4))
+
+
+@pytest.mark.parametrize("init", [dota_init, qdota_init])
+def test_non_finite_step_raises_and_leaves_cores(init):
+    adapter = init(rand((16, 16), seed=20, scale=1.0), MpoShape.square([4, 4]), 2)
+    grads = chain_gradients(adapter.cores, rand((16, 16), seed=21))
+    before = adapter.merge().tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = [g.copy() for g in grads.tensors]
+        poisoned[-1].flat[0] = bad
+        with pytest.raises(NumericError):
+            adapter.apply_gradients(CoreGradients(tuple(poisoned)), 0.1)
+        with pytest.raises(NumericError):
+            adapter.apply_gradients(grads, bad)
+    assert adapter.merge().tobytes() == before
 
 
 class TestQdota:
