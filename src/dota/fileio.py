@@ -160,6 +160,13 @@ def _header_field(header: dict, name: str, kind) -> object:
     return value
 
 
+def _finite_payload(blob: bytes, dtype: np.dtype, offset: int, count: int) -> np.ndarray:
+    arr = np.frombuffer(blob, dtype=_le(dtype), offset=offset, count=count).astype(dtype, copy=True)
+    if not np.isfinite(arr).all():
+        raise FormatError("payload contains non-finite values")
+    return arr
+
+
 def read_bundle(path) -> Bundle:
     """Read and validate a bundle file; rejects any size inconsistency."""
     with open(path, "rb") as fh:
@@ -232,8 +239,7 @@ def read_bundle(path) -> Bundle:
     cores = []
     for cshape in core_shapes:
         count = math.prod(cshape)
-        arr = np.frombuffer(blob, dtype=_le(dtype), offset=offset, count=count)
-        cores.append(arr.astype(dtype, copy=True).reshape(cshape))
+        cores.append(_finite_payload(blob, dtype, offset, count).reshape(cshape))
         offset += count * dtype.itemsize
     try:
         chain = CoreChain.from_arrays(cores)
@@ -247,11 +253,9 @@ def read_bundle(path) -> Bundle:
             packed = np.frombuffer(blob, dtype=np.uint8, offset=offset, count=n_packed).copy()
             offset += n_packed
             n_blocks = math.ceil(n_elements / block_size)
-            absmax = np.frombuffer(
-                blob, dtype=_le(dtype), offset=offset, count=n_blocks
-            ).astype(dtype, copy=True)
-            if np.any(absmax < 0) or np.any(~np.isfinite(absmax)):
-                raise FormatError("block scales must be finite and non-negative")
+            absmax = _finite_payload(blob, dtype, offset, n_blocks)
+            if np.any(absmax < 0):
+                raise FormatError("block scales must be non-negative")
             residual = QuantizedMatrix(
                 packed=packed,
                 absmax=absmax,
@@ -261,6 +265,5 @@ def read_bundle(path) -> Bundle:
                 dtype=dtype,
             )
         else:
-            arr = np.frombuffer(blob, dtype=_le(dtype), offset=offset, count=n_elements)
-            residual = arr.astype(dtype, copy=True).reshape(rows, cols)
+            residual = _finite_payload(blob, dtype, offset, n_elements).reshape(rows, cols)
     return Bundle(chain=chain, residual=residual)

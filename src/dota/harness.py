@@ -12,14 +12,13 @@ seed): every random draw comes from a named SeedSequence stream.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .adapter import DotaAdapter, chain_gradients, dota_init
-from .errors import ParameterError, ShapeError
+from .errors import DotaError, ParameterError, ShapeError, _count_problem, _number_problem, _reject
 from .mpo import (
     SHAPE_PRESETS,
     CoreChain,
@@ -46,8 +45,7 @@ def _rng(*key: int) -> np.random.Generator:
 
 def balanced_factors(n: int, k: int) -> tuple[int, ...]:
     """Factor n into k near-equal integers (largest prime factors first)."""
-    if n < 1 or k < 1:
-        raise ParameterError("need n >= 1 and k >= 1")
+    _reject(n=_count_problem(n, 1), k=_count_problem(k, 1))
     primes = []
     m, p = n, 2
     while p * p <= m:
@@ -108,14 +106,12 @@ def make_task(
     already represents, and the chain construction bounds delta's bond
     ranks by r_delta.
     """
-    if r_delta < 1:
-        raise ParameterError(f"r_delta must be >= 1, got {r_delta}")
-    if not (math.isfinite(delta_scale) and delta_scale >= 0):
-        raise ParameterError(f"delta_scale must be finite and >= 0, got {delta_scale}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+    _reject(
+        r_delta=_count_problem(r_delta, 1),
+        delta_scale=_number_problem(delta_scale, 0),
+        batch_size=_count_problem(batch_size, 1),
+        seed=_count_problem(seed, 0),
+    )
     rng = _rng(seed, _STREAM_TASK)
     sigma = 1.0 / math.sqrt(shape.rows)
     w0 = rng.normal(0.0, sigma, (shape.rows, shape.cols))
@@ -152,8 +148,9 @@ def random_init_cores(shape: MpoShape, ranks: Sequence[int], seed) -> CoreChain:
     """Gaussian cores of std 1/sqrt(rows) except the last, which is zero, so
     the chain's contraction vanishes and training starts at the frozen base
     weight."""
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != shape.n_cores + 1 or ranks[0] != 1 or ranks[-1] != 1:
+    ranks = tuple(ranks)
+    if len(ranks) != shape.n_cores + 1 or ranks[0] != 1 or ranks[-1] != 1 \
+            or any(_count_problem(r, 1) for r in ranks):
         raise ShapeError(f"bad rank list {ranks} for {shape.n_cores} cores")
     sigma = 1.0 / math.sqrt(shape.rows)
     rng = np.random.default_rng(seed)
@@ -191,8 +188,7 @@ class LoraBaseline:
 
 def lora_init(w0: np.ndarray, rank: int, seed) -> LoraBaseline:
     """LoRA factors with ``a`` of std 1/sqrt(rows) and ``b`` zero."""
-    if rank < 1:
-        raise ParameterError(f"rank must be >= 1, got {rank}")
+    _reject(rank=_count_problem(rank, 1))
     rows, cols = w0.shape
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, rank))
@@ -210,17 +206,12 @@ class Hyper:
     eval_every: int = 10
 
     def __post_init__(self):
-        problems = []
-        for name, minimum in (("steps", 0), ("rank", 1), ("eval_every", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                problems.append(f"{name} must be an integer, got {value!r}")
-            elif value < minimum:
-                problems.append(f"{name} must be >= {minimum}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            problems.append("lr must be finite and > 0")
-        if problems:
-            raise ParameterError("; ".join(problems))
+        _reject(
+            steps=_count_problem(self.steps, 0),
+            lr=_number_problem(self.lr, 0, strict=True),
+            rank=_count_problem(self.rank, 1),
+            eval_every=_count_problem(self.eval_every, 1),
+        )
 
 
 @dataclass
@@ -325,12 +316,7 @@ def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
     log = TrainLog(
         method=method,
         seed=task.seed,
-        hyper={
-            "steps": hyper.steps,
-            "lr": hyper.lr,
-            "rank": hyper.rank,
-            "eval_every": hyper.eval_every,
-        },
+        hyper=asdict(hyper),
         trainable_params=state.trainable_params,
     )
 
@@ -366,158 +352,94 @@ def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
     return log
 
 
+# The JSON keys of a config, with the defaults of the optional ones.
+_CONFIG_DEFAULTS = {
+    "dims": None, "shapes": None, "N": None, "R": None, "steps": None, "lr": None,
+    "seeds": None, "methods": METHODS, "r_delta": None, "delta_scale": None,
+    "eval_every": 10, "batch_size": 32,
+}
+
+
 @dataclass(frozen=True)
 class AblationConfig:
     """Validated experiment grid: methods x seeds on one task family."""
 
     shape: MpoShape
-    rank: int
-    steps: int
-    lr: float
+    hyper: Hyper
     seeds: tuple[int, ...]
     methods: tuple[str, ...]
     r_delta: int
     delta_scale: float
-    eval_every: int = 10
     batch_size: int = 32
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AblationConfig":
-        """Build a config from a parsed JSON document, enumerating every
-        invalid field in the error message."""
-        problems: list[str] = []
-        known = {
-            "dims", "shapes", "R", "N", "steps", "lr", "seeds", "methods",
-            "r_delta", "delta_scale", "eval_every", "batch_size",
-        }
-        for key in raw:
-            if key not in known:
-                problems.append(f"unknown field {key!r}")
-
-        def geti(name, default=None, minimum=None):
-            v = raw.get(name, default)
-            if v is None:
-                problems.append(f"{name}: required")
-                return None
-            if not isinstance(v, int) or isinstance(v, bool):
-                problems.append(f"{name}: expected an integer, got {v!r}")
-                return None
-            if minimum is not None and v < minimum:
-                problems.append(f"{name}: must be >= {minimum}, got {v}")
-                return None
-            return v
-
-        dims = raw.get("dims")
-        if isinstance(dims, int) and not isinstance(dims, bool):
-            dims = [dims, dims]
-        if (
-            not isinstance(dims, (list, tuple))
-            or len(dims) != 2
-            or not all(isinstance(d, int) and d >= 1 for d in dims)
-        ):
-            problems.append(f"dims: expected an integer or [rows, cols], got {raw.get('dims')!r}")
-            dims = None
-
-        n = raw.get("N")
-        if n is not None and (not isinstance(n, int) or n < 1):
-            problems.append(f"N: expected a positive integer, got {n!r}")
-            n = None
-
-        shapes = raw.get("shapes")
-        shape = None
-        if dims is not None:
+        """Build a config from a parsed JSON document, naming every invalid
+        field by its JSON key in one ParameterError."""
+        problems = {repr(key): "unknown field" for key in raw if key not in _CONFIG_DEFAULTS}
+        c = {**_CONFIG_DEFAULTS, **raw}
+        counts = {"R": 1, "steps": 0, "eval_every": 1, "batch_size": 1, "r_delta": 1}
+        for key, minimum in counts.items():
+            problems[key] = _count_problem(c[key], minimum)
+        problems["lr"] = _number_problem(c["lr"], 0, strict=True)
+        problems["delta_scale"] = _number_problem(c["delta_scale"], 0)
+        problems["seeds"] = _counts_problem(c["seeds"], 0)
+        methods = c["methods"]
+        if not isinstance(methods, (list, tuple)) or not methods \
+                or not all(m in METHODS for m in methods):
+            problems["methods"] = f"expected a non-empty subset of {list(METHODS)}, got {methods!r}"
+        dims = c["dims"] if isinstance(c["dims"], (list, tuple)) else [c["dims"]] * 2
+        problems["dims"] = (
+            _counts_problem(dims, 1) if len(dims) == 2
+            else f"expected an integer or [rows, cols], got {c['dims']!r}"
+        )
+        problems["N"] = None if c["N"] is None else _count_problem(c["N"], 1)
+        if not (problems["dims"] or problems["N"]):
             try:
-                shape = _resolve_shapes(dims, shapes, n)
-            except (ParameterError, ShapeError) as exc:
-                problems.append(f"shapes: {exc}")
-
-        rank = geti("R", minimum=1)
-        steps = geti("steps", minimum=0)
-        eval_every = geti("eval_every", default=10, minimum=1)
-        batch_size = geti("batch_size", default=32, minimum=1)
-        r_delta = geti("r_delta", minimum=1)
-
-        lr = raw.get("lr")
-        if not isinstance(lr, (int, float)) or isinstance(lr, bool) \
-                or not math.isfinite(lr) or lr <= 0:
-            problems.append(f"lr: expected a positive number, got {lr!r}")
-            lr = None
-
-        delta_scale = raw.get("delta_scale")
-        if not isinstance(delta_scale, (int, float)) or isinstance(delta_scale, bool) \
-                or not math.isfinite(delta_scale) or delta_scale < 0:
-            problems.append(f"delta_scale: expected a number >= 0, got {delta_scale!r}")
-            delta_scale = None
-
-        seeds = raw.get("seeds")
-        if (
-            not isinstance(seeds, (list, tuple))
-            or len(seeds) < 1
-            or not all(
-                isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                for s in seeds
-            )
-        ):
-            problems.append(
-                f"seeds: expected a non-empty list of non-negative integers, got {seeds!r}"
-            )
-            seeds = None
-
-        methods = raw.get("methods", list(METHODS))
-        if (
-            not isinstance(methods, (list, tuple))
-            or len(methods) < 1
-            or not all(m in METHODS for m in methods)
-        ):
-            problems.append(
-                f"methods: expected a non-empty subset of {list(METHODS)}, got {methods!r}"
-            )
-            methods = None
-
-        if problems:
-            raise ParameterError("invalid config fields: " + "; ".join(problems))
+                shape = _resolve_shape(dims, c["shapes"], c["N"])
+            except DotaError as exc:
+                problems["shapes"] = str(exc)
+        _reject(**problems)
         return cls(
             shape=shape,
-            rank=rank,
-            steps=steps,
-            lr=float(lr),
-            seeds=tuple(seeds),
+            hyper=Hyper(steps=c["steps"], lr=float(c["lr"]), rank=c["R"],
+                        eval_every=c["eval_every"]),
+            seeds=tuple(c["seeds"]),
             methods=tuple(methods),
-            r_delta=r_delta,
-            delta_scale=float(delta_scale),
-            eval_every=eval_every,
-            batch_size=batch_size,
+            r_delta=c["r_delta"],
+            delta_scale=float(c["delta_scale"]),
+            batch_size=c["batch_size"],
         )
 
 
-def _resolve_shapes(dims, shapes, n) -> MpoShape:
+def _counts_problem(values, minimum: int) -> str | None:
+    """Why ``values`` is not a non-empty list of integers >= ``minimum``."""
+    if not isinstance(values, (list, tuple)) or not values:
+        return f"expected a non-empty list of integers, got {values!r}"
+    return next(filter(None, (_count_problem(v, minimum) for v in values)), None)
+
+
+def _resolve_shape(dims, shapes, n) -> MpoShape:
     rows, cols = dims
-
-    def as_factors(value, dim):
-        factors = tuple(int(v) for v in value)
-        if math.prod(factors) != dim:
-            raise ShapeError(f"factors {list(factors)} do not multiply to {dim}")
-        return factors
-
     if shapes is None:
         if n is None:
             raise ParameterError("either 'shapes' or 'N' must be given")
-        return MpoShape(
-            default_tensor_shape(rows, n), default_tensor_shape(cols, n)
-        )
-    if isinstance(shapes, dict):
-        if set(shapes) != {"in", "out"}:
-            raise ParameterError("expected keys 'in' and 'out'")
-        inf = as_factors(shapes["in"], rows)
-        outf = as_factors(shapes["out"], cols)
+        return MpoShape(default_tensor_shape(rows, n), default_tensor_shape(cols, n))
+    if isinstance(shapes, dict) and set(shapes) == {"in", "out"}:
+        inf, outf = shapes["in"], shapes["out"]
     elif isinstance(shapes, (list, tuple)):
-        inf = as_factors(shapes, rows)
-        outf = as_factors(shapes, cols)
+        inf = outf = shapes
     else:
-        raise ParameterError(f"expected a list or {{'in', 'out'}} object, got {shapes!r}")
+        raise ParameterError(f"expected a list or an {{'in', 'out'}} object, got {shapes!r}")
+    for factors, dim in ((inf, rows), (outf, cols)):
+        problem = _counts_problem(factors, 1)
+        if problem:
+            raise ParameterError(problem)
+        if math.prod(factors) != dim:
+            raise ShapeError(f"factors {list(factors)} do not multiply to {dim}")
     if n is not None and len(inf) != n:
         raise ParameterError(f"N={n} disagrees with shape length {len(inf)}")
-    return MpoShape(inf, outf)
+    return MpoShape(tuple(inf), tuple(outf))
 
 
 def ablate(config: AblationConfig) -> tuple[list[TrainLog], list[tuple[int, str, float, float]]]:
@@ -535,14 +457,8 @@ def ablate(config: AblationConfig) -> tuple[list[TrainLog], list[tuple[int, str,
             batch_size=config.batch_size,
             seed=seed,
         )
-        hyper = Hyper(
-            steps=config.steps,
-            lr=config.lr,
-            rank=config.rank,
-            eval_every=config.eval_every,
-        )
         for method in config.methods:
-            logs.append(run_experiment(task, method, hyper))
+            logs.append(run_experiment(task, method, config.hyper))
     summary = summarize(logs)
     return logs, summary
 

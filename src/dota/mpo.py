@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ShapeError, _count_problem, _reject
 from .tensor_core import DenseTensor
 
 # Default factorizations of common hidden dimensions (all chains of length 5).
@@ -158,8 +158,7 @@ def truncated_ranks(shape: MpoShape, rank_threshold: int | None) -> tuple[int, .
     full = max_ranks(shape)
     if rank_threshold is None:
         return full
-    if rank_threshold < 1:
-        raise ParameterError(f"rank threshold must be >= 1, got {rank_threshold}")
+    _reject(rank_threshold=_count_problem(rank_threshold, 1))
     return tuple(min(r, rank_threshold) if 0 < k < len(full) - 1 else r
                  for k, r in enumerate(full))
 
@@ -213,8 +212,8 @@ def mpo_decompose(
     """
     w = np.asarray(w)
     shape.check_matrix(w)
-    if rank_threshold is not None and rank_threshold < 1:
-        raise ParameterError(f"rank threshold must be >= 1, got {rank_threshold}")
+    if rank_threshold is not None:
+        _reject(rank_threshold=_count_problem(rank_threshold, 1))
     if not np.all(np.isfinite(w)):
         raise NumericError("matrix contains non-finite entries")
     out_dtype = w.dtype if w.dtype.type in (np.float32, np.float64) else np.float64

@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, _count_problem, _reject
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
 from .adapter import CoreGradients, _checked_input, _checked_pair, _stepped, chain_gradients
 
@@ -125,8 +125,7 @@ class QuantizedMatrix:
     dtype: np.dtype = np.dtype(np.float64)
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ParameterError(f"block size must be >= 1, got {self.block_size}")
+        _reject(block_size=_count_problem(self.block_size, 1))
         n = self.rows * self.cols
         n_blocks = math.ceil(n / self.block_size)
         if self.packed.dtype != np.uint8 or self.packed.size != math.ceil(n / 2):
@@ -156,8 +155,7 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
     w = np.asarray(w)
     if w.ndim != 2:
         raise ShapeError(f"expected a matrix, got order-{w.ndim} input")
-    if block_size < 1:
-        raise ParameterError(f"block size must be >= 1, got {block_size}")
+    _reject(block_size=_count_problem(block_size, 1))
     if not np.all(np.isfinite(w)):
         raise NumericError("matrix contains non-finite entries")
     book = nf4_codebook()

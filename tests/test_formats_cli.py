@@ -170,6 +170,25 @@ class TestBundleFile:
         with pytest.raises(FormatError):
             read_bundle(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["core", "residual"])
+    def test_rejects_non_finite_payload(self, tmp_path, capsys, where, value):
+        w, chain = self.make_chain()
+        path = tmp_path / "b.dotc"
+        write_bundle(path, chain, w - reconstruct(chain))
+        blob = bytearray(path.read_bytes())
+        header_len = int.from_bytes(blob[5:9], "little")
+        # first element of the first core, or last element of the residual
+        offset = 9 + header_len if where == "core" else len(blob) - 8
+        blob[offset : offset + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            read_bundle(path)
+        out = tmp_path / "back.dotm"
+        assert main(["reconstruct", "--bundle", str(path), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_non_json_header(self, tmp_path):
         path = tmp_path / "b.dotc"
         garbage = b"DOTC" + bytes([1]) + (7).to_bytes(4, "little") + b"not-js" + b"x"
@@ -362,12 +381,17 @@ class TestCliTrain:
             assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_invalid_config_enumerates_fields(self, tmp_path, capsys):
-        config = self.write_config(tmp_path, R=0, lr=-1, steps="many")
-        code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "x")])
-        assert code == 1
-        err = capsys.readouterr().err
-        for token in ("R", "lr", "steps"):
-            assert token in err
+        for overrides, tokens in (
+            (dict(R=0, lr=-1, steps="many"), ("R", "lr", "steps")),
+            (dict(shapes=[4, "a", 4]), ("shapes",)),
+        ):
+            config = self.write_config(tmp_path, **overrides)
+            code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            for token in tokens:
+                assert token in err
 
     def test_missing_config_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,6 +6,7 @@ from dota import (
     Hyper,
     MpoShape,
     ParameterError,
+    ShapeError,
     ablate,
     balanced_factors,
     default_tensor_shape,
@@ -85,6 +86,11 @@ class TestRandomInit:
         chain = random_init_cores(shape, (1, 1), seed=5)
         assert not reconstruct(chain).any()
 
+    @pytest.mark.parametrize("ranks", [(1, 2.5, 4.0, 1), (1, True, 4, 1), (1.0, 4, 4, 1)])
+    def test_non_integer_rank_is_shape_error(self, ranks):
+        with pytest.raises(ShapeError):
+            random_init_cores(SHAPE_64, ranks, seed=1)
+
 
 class TestTask:
     def test_perturbation_ratio_recorded(self):
@@ -111,8 +117,10 @@ class TestTask:
             make_task(SHAPE_64, r_delta=0, delta_scale=0.05)
         with pytest.raises(ParameterError):
             make_task(SHAPE_64, r_delta=2, delta_scale=-1.0)
-        with pytest.raises(ParameterError):
-            make_task(SHAPE_64, r_delta=2, delta_scale=0.05, batch_size=0)
+        for bad in (dict(batch_size=0), dict(r_delta=2.5), dict(seed=1.5),
+                    dict(batch_size=2.5), dict(delta_scale="x"), dict(seed=True)):
+            with pytest.raises(ParameterError):
+                make_task(SHAPE_64, **{"r_delta": 2, "delta_scale": 0.05, **bad})
 
 
 class TestRunExperiment:
@@ -168,7 +176,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "field, value",
         [("steps", 1.5), ("steps", True), ("rank", 2.5), ("rank", True),
-         ("eval_every", True), ("eval_every", 2.0)],
+         ("eval_every", True), ("eval_every", 2.0),
+         ("lr", "0.1"), ("lr", None), ("lr", True)],
     )
     def test_hyper_requires_integer_counts(self, field, value):
         kwargs = dict(steps=10, lr=0.1, rank=4, eval_every=5)
@@ -213,6 +222,11 @@ class TestLora:
         baseline.gradient_step(dw, 0.1)
         # b was zero, so a is unchanged on the first step but b moves
         assert not np.array_equal(baseline.effective_weight(), w0)
+
+    @pytest.mark.parametrize("rank", [0, 2.5, True])
+    def test_bad_rank(self, rank):
+        with pytest.raises(ParameterError):
+            lora_init(np.zeros((8, 8)), rank, seed=1)
 
 
 class TestAblate:
@@ -275,6 +289,7 @@ class TestConfigValidation:
         )
         assert cfg.shape == MpoShape.square([4, 4, 4])
         assert cfg.batch_size == 32
+        assert cfg.hyper == Hyper(steps=10, lr=0.1, rank=8, eval_every=10)
 
     def test_preset_used_for_known_dimension(self):
         cfg = AblationConfig.from_dict(
@@ -310,6 +325,25 @@ class TestConfigValidation:
             )
         assert "shapes" in str(excinfo.value)
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("shapes", dict(shapes=[4, 4, "a"])),
+        ("shapes", dict(shapes=[4, 4, 4.7])),
+        ("shapes", dict(shapes=[4, 4, 4, True])),
+        ("shapes", dict(shapes=[4, 4, None])),
+        ("shapes", dict(shapes=[4, 4, [4]])),
+        ("shapes", dict(shapes={"in": "444", "out": [4, 4, 4]})),
+        ("N", dict(shapes=None, N=True)),
+        ("dims", dict(dims=[True, 1], shapes=None, N=1)),
+    ], ids=["str", "float", "bool", "null", "list", "in-string", "N-bool", "dims-bool"])
+    def test_non_integer_shape_fields_are_named(self, key, overrides):
+        # none of these may be coerced to an integer or escape as a raw error
+        raw = dict(dims=64, shapes=[4, 4, 4], R=2, steps=1, lr=0.1, seeds=[1],
+                   methods=["dota"], r_delta=2, delta_scale=0.05)
+        raw.update(overrides)
+        with pytest.raises(ParameterError) as excinfo:
+            AblationConfig.from_dict(raw)
+        assert key in str(excinfo.value)
+
     def test_n_shape_disagreement(self):
         with pytest.raises(ParameterError):
             AblationConfig.from_dict(
@@ -327,6 +361,9 @@ class TestShapeHelpers:
     def test_balanced_factorization_errors(self):
         with pytest.raises(ParameterError):
             balanced_factors(6, 3)
+        for n, k in ((64, 2.5), (64, True), (0, 1)):
+            with pytest.raises(ParameterError):
+                balanced_factors(n, k)
 
     def test_default_shape_prefers_presets(self):
         assert default_tensor_shape(4096, 5) == (4, 4, 8, 8, 4)

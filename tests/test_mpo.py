@@ -9,9 +9,11 @@ from dota import (
     NumericError,
     ParameterError,
     ShapeError,
+    dota_init,
     max_ranks,
     mpo_decompose,
     param_count,
+    qdota_init,
     reconstruct,
     reconstruction_error,
     reorder_for_mpo,
@@ -124,8 +126,16 @@ class TestDecompose:
             mpo_decompose(w, MpoShape.square([2, 2]))
 
     def test_bad_threshold(self):
-        with pytest.raises(ParameterError):
-            mpo_decompose(rand((4, 4)), MpoShape.square([2, 2]), 0)
+        shape = MpoShape.square([2, 2])
+        for threshold in (0, 2.5, True):
+            with pytest.raises(ParameterError):
+                mpo_decompose(rand((4, 4)), shape, threshold)
+            with pytest.raises(ParameterError):
+                truncated_ranks(shape, threshold)
+            with pytest.raises(ParameterError):
+                dota_init(rand((4, 4)), shape, threshold)
+            with pytest.raises(ParameterError):
+                qdota_init(rand((4, 4)), shape, threshold)
 
     def test_deterministic(self):
         w = rand((64, 64), seed=8)

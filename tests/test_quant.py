@@ -88,11 +88,14 @@ class TestQuantize:
             quantize_nf4(w, 4)
 
     def test_bad_block_size(self):
-        with pytest.raises(ParameterError):
-            quantize_nf4(np.zeros((2, 2)), 0)
         q = quantize_nf4(np.zeros((2, 2)))
-        with pytest.raises(ParameterError):
-            QuantizedMatrix(q.packed, q.absmax, 0, 2, 2)
+        for block_size in (0, 2.5, True):
+            with pytest.raises(ParameterError):
+                quantize_nf4(np.zeros((2, 2)), block_size)
+            with pytest.raises(ParameterError):
+                QuantizedMatrix(q.packed, q.absmax, block_size, 2, 2)
+            with pytest.raises(ParameterError):
+                qdota_init(np.eye(4), MpoShape.square([2, 2]), 2, block_size)
 
     @given(st.integers(0, 999), st.sampled_from([1, 3, 16, 64, 100]))
     @settings(deadline=None, max_examples=30)
