@@ -30,11 +30,19 @@ class FormatError(DotaError, ValueError):
 def _count_problem(value, minimum: int) -> str | None:
     """Why ``value`` is not an integer >= ``minimum``, or None if it is.
     ``bool`` is not a count, although Python makes it an integer."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    # A plain int skips the ABC check, which costs more than the rest.
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
         return f"expected an integer, got {value!r}"
     if value < minimum:
         return f"must be >= {minimum}, got {value}"
     return None
+
+
+def _counts_problem(values, minimum: int) -> str | None:
+    """Why ``values`` is not a non-empty list of integers >= ``minimum``."""
+    if not isinstance(values, (list, tuple)) or not values:
+        return f"expected a non-empty list of integers, got {values!r}"
+    return next(filter(None, (_count_problem(v, minimum) for v in values)), None)
 
 
 def _number_problem(value, minimum: float, *, strict: bool = False) -> str | None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .mpo import CoreChain, MpoShape
 from .quant import QuantizedMatrix
 
@@ -182,7 +182,7 @@ def read_bundle(path) -> Bundle:
         raise FormatError("file too short for the declared header")
     try:
         header = json.loads(blob[_BUNDLE_HEADER.size : _BUNDLE_HEADER.size + header_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"bundle header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("bundle header must be a JSON object")
@@ -198,26 +198,18 @@ def read_bundle(path) -> Bundle:
     if dtype_name not in _NAME_DTYPES:
         raise FormatError(f"unknown dtype {dtype_name!r}")
     dtype = _NAME_DTYPES[dtype_name]
-    if not all(type(v) is int and v >= 1 for v in in_factors + out_factors + ranks):
-        raise FormatError("factors and ranks must be positive integers")
-
+    # RecursionError: naming a bad value nested near json's depth limit can overflow.
     try:
-        shape = MpoShape(tuple(in_factors), tuple(out_factors))
-    except Exception as exc:
-        raise FormatError(f"inconsistent factors: {exc}") from exc
-    n = shape.n_cores
-    if len(ranks) != n + 1 or ranks[0] != 1 or ranks[-1] != 1:
-        raise FormatError(f"bad rank list {ranks}")
+        shape = MpoShape(in_factors, out_factors)
+        core_shapes = shape.core_shapes(ranks)
+    except (ShapeError, RecursionError) as exc:
+        raise FormatError(f"inconsistent factors or ranks: {exc}") from exc
     if rows != shape.rows or cols != shape.cols:
         raise FormatError(
             f"declared matrix {rows}x{cols} does not match factors "
             f"{shape.rows}x{shape.cols}"
         )
 
-    core_shapes = [
-        (ranks[k], shape.in_factors[k], shape.out_factors[k], ranks[k + 1])
-        for k in range(n)
-    ]
     core_bytes = sum(math.prod(s) for s in core_shapes) * dtype.itemsize
     expected = _BUNDLE_HEADER.size + header_len + core_bytes
     n_elements = rows * cols
@@ -241,10 +233,7 @@ def read_bundle(path) -> Bundle:
         count = math.prod(cshape)
         cores.append(_finite_payload(blob, dtype, offset, count).reshape(cshape))
         offset += count * dtype.itemsize
-    try:
-        chain = CoreChain.from_arrays(cores)
-    except Exception as exc:
-        raise FormatError(f"inconsistent cores: {exc}") from exc
+    chain = CoreChain.from_arrays(cores)
 
     residual = None
     if has_residual:

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .adapter import DotaAdapter, chain_gradients, dota_init
-from .errors import DotaError, ParameterError, ShapeError, _count_problem, _number_problem, _reject
+from .errors import (DotaError, ParameterError, ShapeError, _count_problem, _counts_problem,
+                     _number_problem, _reject)
 from .mpo import (
     SHAPE_PRESETS,
     CoreChain,
@@ -148,20 +149,10 @@ def random_init_cores(shape: MpoShape, ranks: Sequence[int], seed) -> CoreChain:
     """Gaussian cores of std 1/sqrt(rows) except the last, which is zero, so
     the chain's contraction vanishes and training starts at the frozen base
     weight."""
-    ranks = tuple(ranks)
-    if len(ranks) != shape.n_cores + 1 or ranks[0] != 1 or ranks[-1] != 1 \
-            or any(_count_problem(r, 1) for r in ranks):
-        raise ShapeError(f"bad rank list {ranks} for {shape.n_cores} cores")
+    *drawn, last = shape.core_shapes(ranks)
     sigma = 1.0 / math.sqrt(shape.rows)
     rng = np.random.default_rng(seed)
-    arrays = []
-    for k, (i, j) in enumerate(zip(shape.in_factors, shape.out_factors)):
-        size = (ranks[k], i, j, ranks[k + 1])
-        if k == shape.n_cores - 1:
-            arrays.append(np.zeros(size))
-        else:
-            arrays.append(rng.normal(0.0, sigma, size))
-    return CoreChain.from_arrays(arrays)
+    return CoreChain.from_arrays([rng.normal(0.0, sigma, s) for s in drawn] + [np.zeros(last)])
 
 
 @dataclass
@@ -410,13 +401,6 @@ class AblationConfig:
             delta_scale=float(c["delta_scale"]),
             batch_size=c["batch_size"],
         )
-
-
-def _counts_problem(values, minimum: int) -> str | None:
-    """Why ``values`` is not a non-empty list of integers >= ``minimum``."""
-    if not isinstance(values, (list, tuple)) or not values:
-        return f"expected a non-empty list of integers, got {values!r}"
-    return next(filter(None, (_count_problem(v, minimum) for v in values)), None)
 
 
 def _resolve_shape(dims, shapes, n) -> MpoShape:

@@ -11,12 +11,15 @@ when the bonds are truncated to a threshold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, _count_problem, _reject
+from .errors import NumericError, ShapeError, _count_problem, _counts_problem, _reject
 from .tensor_core import DenseTensor
 
 # Default factorizations of common hidden dimensions (all chains of length 5).
@@ -40,18 +43,14 @@ class MpoShape:
     out_factors: tuple[int, ...]
 
     def __post_init__(self):
-        inf = tuple(int(v) for v in self.in_factors)
-        outf = tuple(int(v) for v in self.out_factors)
-        if len(inf) != len(outf):
-            raise ShapeError(
-                f"factor lists differ in length: {len(inf)} vs {len(outf)}"
-            )
-        if len(inf) < 1:
-            raise ShapeError("need at least one core")
-        if any(v < 1 for v in inf + outf):
-            raise ShapeError("factors must be positive")
-        object.__setattr__(self, "in_factors", inf)
-        object.__setattr__(self, "out_factors", outf)
+        inf, outf = tuple(self.in_factors), tuple(self.out_factors)
+        problem = ("lists differ in length" if len(inf) != len(outf)
+                   else _counts_problem(inf + outf, 1))
+        if problem:
+            raise ShapeError(f"bad factors {inf} x {outf}: {problem}")
+        # Stored as plain ints (numpy ones included) so the bundle header serializes.
+        object.__setattr__(self, "in_factors", tuple(map(operator.index, inf)))
+        object.__setattr__(self, "out_factors", tuple(map(operator.index, outf)))
 
     @property
     def n_cores(self) -> int:
@@ -70,6 +69,20 @@ class MpoShape:
         f = tuple(factors)
         return cls(f, f)
 
+    def core_shapes(self, ranks: Sequence[int]) -> list[tuple[int, int, int, int]]:
+        """Shapes (r_k, I_k, J_k, r_{k+1}) of the cores of a chain with bond
+        ranks (r_0, ..., r_N). Every rank must be an integer from 1 up to its
+        ceiling in :func:`max_ranks`, which also makes r_0 = r_N = 1."""
+        ranks, ceilings = tuple(ranks), max_ranks(self)
+        problem = (f"expected {len(ceilings)} ranks" if len(ranks) != len(ceilings)
+                   else _counts_problem(ranks, 1))
+        if not problem and any(map(operator.gt, ranks, ceilings)):
+            problem = f"above the ceilings {ceilings}"
+        if problem:
+            raise ShapeError(f"bad rank list {ranks} for {self}: {problem}")
+        ranks = tuple(map(operator.index, ranks))
+        return list(zip(ranks, self.in_factors, self.out_factors, ranks[1:]))
+
     def check_matrix(self, w: np.ndarray) -> None:
         if w.ndim != 2 or w.shape != (self.rows, self.cols):
             raise ShapeError(
@@ -87,26 +100,13 @@ class CoreChain:
 
     def __post_init__(self):
         cores = tuple(self.cores)
-        if not cores:
-            raise ShapeError("a chain needs at least one core")
         for c in cores:
             if c.order != 4:
                 raise ShapeError(f"cores must be order 4, got order {c.order}")
-        if cores[0].shape[0] != 1 or cores[-1].shape[3] != 1:
-            raise ShapeError("boundary bond ranks must be 1")
-        for left, right in zip(cores, cores[1:]):
-            if left.shape[3] != right.shape[0]:
-                raise ShapeError(
-                    f"adjacent cores disagree on bond rank: "
-                    f"{left.shape[3]} vs {right.shape[0]}"
-                )
         object.__setattr__(self, "cores", cores)
-        ceilings = max_ranks(self.shape)
-        if any(r > limit for r, limit in zip(self.ranks, ceilings)):
-            raise ShapeError(
-                f"bond ranks {self.ranks} exceed the ceilings {ceilings} "
-                f"for factors {self.in_factors} x {self.out_factors}"
-            )
+        shapes = [c.shape for c in cores]
+        if shapes != self.shape.core_shapes(self.ranks):
+            raise ShapeError(f"core shapes {shapes} do not chain: bond ranks differ or end above 1")
 
     def __len__(self) -> int:
         return len(self.cores)
@@ -118,15 +118,17 @@ class CoreChain:
 
     @property
     def in_factors(self) -> tuple[int, ...]:
-        return tuple(c.shape[1] for c in self.cores)
+        return self.shape.in_factors
 
     @property
     def out_factors(self) -> tuple[int, ...]:
-        return tuple(c.shape[2] for c in self.cores)
+        return self.shape.out_factors
 
-    @property
+    @cached_property
     def shape(self) -> MpoShape:
-        return MpoShape(self.in_factors, self.out_factors)
+        """Built once per chain; the chain is immutable."""
+        modes = [c.shape for c in self.cores]
+        return MpoShape(tuple(m[1] for m in modes), tuple(m[2] for m in modes))
 
     @property
     def num_params(self) -> int:
@@ -145,12 +147,10 @@ def max_ranks(shape: MpoShape) -> tuple[int, ...]:
     """Largest possible bond ranks (R_0..R_N): at bond k, the smaller of the
     combined mode sizes to its left and to its right. R_0 = R_N = 1."""
     prods = [i * j for i, j in zip(shape.in_factors, shape.out_factors)]
-    n = len(prods)
-    ranks = [1]
-    for k in range(1, n):
-        ranks.append(min(math.prod(prods[:k]), math.prod(prods[k:])))
-    ranks.append(1)
-    return tuple(ranks)
+    # Running products keep this linear in N for long factor lists from a file.
+    left = accumulate(prods[:-1], operator.mul)
+    right = list(accumulate(prods[:0:-1], operator.mul))[::-1]
+    return (1, *map(min, left, right), 1)
 
 
 def truncated_ranks(shape: MpoShape, rank_threshold: int | None) -> tuple[int, ...]:
@@ -184,16 +184,15 @@ def reorder_for_mpo(w: np.ndarray, shape: MpoShape) -> tuple[DenseTensor, tuple[
     shape.check_matrix(w)
     n = shape.n_cores
     separated = w.reshape(shape.in_factors + shape.out_factors)
-    interleaved = np.ascontiguousarray(np.transpose(separated, _interleaving(n)))
+    # One fresh copy, frozen here so DenseTensor need not copy it again.
+    interleaved = np.transpose(separated, _interleaving(n)).copy()
+    interleaved.flags.writeable = False
     return DenseTensor(interleaved), _deinterleaving(n)
 
 
 def _zero_chain(shape: MpoShape, dtype) -> CoreChain:
-    cores = [
-        np.zeros((1, i, j, 1), dtype=dtype)
-        for i, j in zip(shape.in_factors, shape.out_factors)
-    ]
-    return CoreChain.from_arrays(cores)
+    ones = (1,) * (shape.n_cores + 1)
+    return CoreChain.from_arrays([np.zeros(s, dtype=dtype) for s in shape.core_shapes(ones)])
 
 
 def mpo_decompose(
@@ -271,22 +270,13 @@ def reconstruct(chain: CoreChain) -> np.ndarray:
 
 def param_count(shape: MpoShape, ranks: Sequence[int]) -> int:
     """Total element count of a chain with the given bond ranks."""
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != shape.n_cores + 1:
-        raise ShapeError(
-            f"expected {shape.n_cores + 1} ranks, got {len(ranks)}"
-        )
-    if ranks[0] != 1 or ranks[-1] != 1:
-        raise ShapeError("boundary ranks must be 1")
-    return sum(
-        ranks[k] * i * j * ranks[k + 1]
-        for k, (i, j) in enumerate(zip(shape.in_factors, shape.out_factors))
-    )
+    return sum(math.prod(s) for s in shape.core_shapes(ranks))
 
 
 def reconstruction_error(w: np.ndarray, chain: CoreChain) -> float:
     """Relative Frobenius error of the chain against the target matrix."""
     w = np.asarray(w, dtype=np.float64)
+    chain.shape.check_matrix(w)
     diff = np.linalg.norm(w - reconstruct(chain).astype(np.float64, copy=False))
     denom = np.linalg.norm(w)
     if denom == 0.0:

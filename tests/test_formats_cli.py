@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dota import (
     FormatError,
@@ -196,10 +198,118 @@ class TestBundleFile:
         with pytest.raises(FormatError):
             read_bundle(path)
 
+    def test_rejects_deeply_nested_header(self, tmp_path, capsys):
+        header = b"[" * 100000
+        path = tmp_path / "b.dotc"
+        path.write_bytes(b"DOTC" + bytes([1]) + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(FormatError):
+            read_bundle(path)
+        out = tmp_path / "back.dotm"
+        assert main(["reconstruct", "--bundle", str(path), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["in_factors", "ranks"])
+    def test_rejects_nested_lists_near_the_depth_limit(self, tmp_path, field):
+        # Just inside the depth json can parse, the repr that names a bad
+        # value in the error message can still run out of stack.
+        parsed, failed = 1, 1 << 20
+        while failed - parsed > 1:
+            mid = (parsed + failed) // 2
+            try:
+                json.loads("[" * mid + "]" * mid)
+                parsed = mid
+            except RecursionError:
+                failed = mid
+        header = {"in_factors": [1], "out_factors": [1], "ranks": [1, 1], "dtype": "f64",
+                  "has_residual": False, "residual_quantized": False, "block_size": None,
+                  "original_rows": 1, "original_cols": 1, field: "X"}
+        path = tmp_path / "b.dotc"
+        for depth in range(parsed - 30, failed + 2):
+            raw = json.dumps(header).replace('"X"', "[" * depth + "1" + "]" * depth).encode()
+            path.write_bytes(b"DOTC" + bytes([1]) + len(raw).to_bytes(4, "little") + raw)
+            with pytest.raises(FormatError):
+                read_bundle(path)
+
     def test_residual_shape_checked_on_write(self, tmp_path):
         _, chain = self.make_chain()
         with pytest.raises(FormatError):
             write_bundle(tmp_path / "b.dotc", chain, np.zeros((3, 3)))
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A directory and the bytes of one small valid file of each kind."""
+    d = tmp_path_factory.mktemp("fuzz")
+    w = rand((4, 4), seed=6)
+    chain = mpo_decompose(w, MpoShape.square([2, 2]), 1)
+    residual = w - reconstruct(chain)
+    write_matrix(d / "dotm", w)
+    for name, res in (("dotc", None), ("dotc-dense", residual),
+                      ("dotc-nf4", quantize_nf4(residual, 4))):
+        write_bundle(d / name, chain, res)
+    return d, {path.name: path.read_bytes() for path in d.iterdir()}
+
+
+# JSON digits and punctuation turn up often, so header edits stay parseable.
+_BYTE = st.one_of(st.sampled_from(b'0123456789-.,:[]{}"'), st.integers(0, 255))
+_BYTES = st.lists(_BYTE, min_size=1, max_size=16).map(bytes)
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 20) | st.floats(-1, 20) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=6,
+)
+
+
+def _mutated(data, blob: bytes) -> bytes:
+    """One to three flips, truncations, extensions, insertions or deletions."""
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["flip", "truncate", "extend", "insert", "delete"]))
+        at = data.draw(st.integers(0, len(blob)))
+        if kind == "flip" and at < len(blob):
+            blob[at] = data.draw(_BYTE)
+        elif kind == "truncate":
+            del blob[at:]
+        elif kind == "extend":
+            blob += data.draw(_BYTES)
+        elif kind == "insert":
+            blob[at:at] = data.draw(_BYTES)
+        elif kind == "delete":
+            del blob[at : at + data.draw(st.integers(1, 16))]
+    return bytes(blob)
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_mutated_files_raise_only_format_error(self, valid_files, data):
+        d, blobs = valid_files
+        name = data.draw(st.sampled_from(sorted(blobs)))
+        blob = blobs[name]
+        where = "file"
+        if name != "dotm":
+            where = data.draw(st.sampled_from(["file", "header", "field"]))
+        if where == "file":
+            blob = _mutated(data, blob)
+        else:
+            # Mutate only the JSON header, or one of its values, and fix its
+            # declared length, so the mutation reaches the checks behind it.
+            n = int.from_bytes(blob[5:9], "little")
+            header = blob[9 : 9 + n]
+            if where == "header":
+                header = _mutated(data, header)
+            else:
+                fields = json.loads(header)
+                fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON_VALUE)
+                header = json.dumps(fields).encode()
+            blob = blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + n :]
+        path = d / "mutated"
+        path.write_bytes(blob)
+        try:
+            (read_matrix if name == "dotm" else read_bundle)(path)
+        except FormatError:
+            pass
 
 
 class TestCliDecomposeReconstruct:

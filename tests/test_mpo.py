@@ -37,6 +37,30 @@ def eckart_young_error(w, shape, rank):
     return float(np.sqrt((s[rank:] ** 2).sum()))
 
 
+class TestMpoShape:
+    @pytest.mark.parametrize("in_factors, out_factors", [
+        ((2.5, 2), (2, 2)),
+        ((2, 2), (2, True)),
+        (("4",), (4,)),
+        ((0,), (1,)),
+        ((), ()),
+        ((2, 2), (4,)),
+    ], ids=["float", "bool", "str", "zero", "empty", "lengths"])
+    def test_rejects_bad_factors(self, in_factors, out_factors):
+        with pytest.raises(ShapeError):
+            MpoShape(in_factors, out_factors)
+
+    def test_numpy_integer_factors_stored_as_int(self):
+        shape = MpoShape((np.int64(2), np.int32(3)), (np.int32(4), np.int64(5)))
+        assert shape.in_factors == (2, 3) and shape.out_factors == (4, 5)
+        assert all(type(v) is int for v in shape.in_factors + shape.out_factors)
+
+    def test_core_shapes(self):
+        shapes = MpoShape((2, 3), (4, 5)).core_shapes((1, np.int64(6), 1))
+        assert shapes == [(1, 2, 4, 6), (6, 3, 5, 1)]
+        assert all(type(v) is int for s in shapes for v in s)
+
+
 class TestMaxRanks:
     def test_five_core_example(self):
         shape = MpoShape.square([4, 4, 4, 4, 4])
@@ -62,6 +86,7 @@ class TestReorder:
         t, inv = reorder_for_mpo(w, MpoShape((3,), (5,)))
         assert t.shape == (3, 5)
         assert np.array_equal(t.data, w)
+        assert not np.shares_memory(t.data, w)
         assert inv == (0, 1)
 
     def test_exhaustive_index_map(self):
@@ -177,6 +202,8 @@ class TestReconstruct:
     def test_boundary_rank_enforced(self):
         with pytest.raises(ShapeError):
             CoreChain.from_arrays([np.zeros((2, 2, 2, 1))])
+        with pytest.raises(ShapeError):
+            CoreChain.from_arrays([np.zeros((1, 2, 2, 2))])
 
     def test_rank_ceiling_enforced(self):
         # bond rank 5 exceeds min(4, 4) for 2x2 factor pairs
@@ -211,6 +238,11 @@ class TestParamCount:
             param_count(shape, (1, 4))
         with pytest.raises(ShapeError):
             param_count(shape, (2, 4, 1))
+        for ranks in ((1, True, 1), (1, 17, 1)):  # 17 is above the ceiling 4 * 4
+            with pytest.raises(ShapeError):
+                param_count(shape, ranks)
+        with pytest.raises(ShapeError):
+            param_count(MpoShape.square([4, 4, 4]), (1, 2.7, 0.5, 1))
 
 
 class TestReconstructionError:
@@ -238,3 +270,9 @@ class TestReconstructionError:
     def test_zero_matrix_zero_chain(self):
         chain = mpo_decompose(np.zeros((4, 4)), MpoShape.square([2, 2]))
         assert reconstruction_error(np.zeros((4, 4)), chain) == 0.0
+
+    @pytest.mark.parametrize("target", [np.zeros((1, 16)), np.zeros(16), 3.0, np.zeros((4, 4))])
+    def test_target_shape_checked(self, target):
+        chain = mpo_decompose(rand((16, 16), seed=14), MpoShape.square([4, 4]))
+        with pytest.raises(ShapeError):
+            reconstruction_error(target, chain)
