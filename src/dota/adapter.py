@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 from .mpo import CoreChain, MpoShape, _left_sweep, mpo_decompose, reconstruct, reorder_for_mpo
-from .tensor_core import DenseTensor
+from .tensor_core import DenseTensor, _as_readonly
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class CoreGradients:
     """One gradient tensor per core, shaped exactly like the cores."""
 
     tensors: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.tensors)
 
     def check_against(self, chain: CoreChain) -> None:
         if len(self.tensors) != len(chain):
@@ -87,15 +84,12 @@ def _stepped(chain: CoreChain, grads: CoreGradients, lr: float) -> CoreChain:
     ))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a).copy()
-    a.flags.writeable = False
-    return a
-
-
 @dataclass
 class DotaAdapter:
-    """Frozen residual matrix plus a trainable core chain for one layer."""
+    """Frozen residual matrix plus a trainable core chain for one layer.
+
+    A read-only, C-contiguous ``w_res`` is adopted as it is; any other is
+    copied once and the copy made read-only."""
 
     w_res: np.ndarray
     cores: CoreChain
@@ -105,19 +99,13 @@ class DotaAdapter:
         self.shape.check_matrix(self.w_res)
         if self.cores.shape != self.shape:
             raise ShapeError("core chain factors do not match the adapter shape")
-        self.w_res = _freeze(self.w_res)
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.w_res.dtype
+        if not np.isfinite(self.w_res).all():
+            raise NumericError("residual contains non-finite entries")
+        self.w_res = _as_readonly(self.w_res)
 
     @property
     def trainable_params(self) -> int:
         return self.cores.num_params
-
-    @property
-    def frozen_params(self) -> int:
-        return self.w_res.size
 
     def merge(self) -> np.ndarray:
         """Residual plus contracted chain, as one dense matrix."""
@@ -157,4 +145,5 @@ def dota_init(
     w0 = np.asarray(w0)
     cores = mpo_decompose(w0, shape, rank_threshold)
     w_res = w0 - reconstruct(cores)
+    w_res.flags.writeable = False  # fresh, so the adapter adopts it without a copy
     return DotaAdapter(w_res=w_res, cores=cores, shape=shape)

@@ -32,13 +32,11 @@ class _UsageError(Exception):
 
 
 def _factor_list(text: str) -> tuple[int, ...]:
+    """Comma-separated factors, checked at parse time by MpoShape's factor rule."""
     try:
-        factors = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not factors or any(v < 1 for v in factors):
-        raise argparse.ArgumentTypeError(f"factors must be positive integers, got {text!r}")
-    return factors
+        return MpoShape.square([int(part) for part in text.split(",")]).in_factors
+    except ValueError as exc:  # int() or ShapeError
+        raise argparse.ArgumentTypeError(f"bad factor list {text!r}: {exc}") from exc
 
 
 def _preset_or_fail(dim: int, which: str) -> tuple[int, ...]:

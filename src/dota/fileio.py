@@ -23,8 +23,9 @@ Bundle file (``DOTC``)::
     cores      core payloads in chain order, row-major
     residual   raw matrix, or packed NF4 codes followed by block scales
 
-Every declared size is checked against the actual byte count; trailing
-bytes or any header/payload mismatch raise :class:`FormatError`.
+Readers make one pass over the bytes: each read checks that the file
+still holds it, and bytes left after the last read, like any
+header/payload mismatch, raise :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, NumericError, ParameterError, ShapeError
 from .mpo import CoreChain, MpoShape
 from .quant import QuantizedMatrix
 
@@ -47,14 +48,60 @@ FORMAT_VERSION = 1
 _MATRIX_HEADER = struct.Struct("<4sBBII")
 _BUNDLE_HEADER = struct.Struct("<4sBI")
 
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
-_DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-_NAME_DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
+# One (bundle header name, dtype) entry per payload dtype; the position is
+# the matrix header's dtype code.
+_DTYPES = (("f32", np.dtype(np.float32)), ("f64", np.dtype(np.float64)))
+
+
+def _dtype_entry(column: int, key) -> tuple[int, str, np.dtype]:
+    """(code, name, dtype) of the entry whose name (column 0) or dtype
+    (column 1) is ``key``."""
+    for code, entry in enumerate(_DTYPES):
+        if entry[column] == key:
+            return code, *entry
+    raise FormatError(f"unsupported dtype {key!r} (use float32 or float64)")
 
 
 def _le(dtype: np.dtype) -> np.dtype:
     return dtype.newbyteorder("<")
+
+
+class _Cursor:
+    """One forward pass over a file's bytes. The constructor checks the
+    magic and version, every read checks that the file still holds the
+    bytes it takes, and :meth:`close` rejects bytes left over."""
+
+    def __init__(self, path, magic: bytes, header: struct.Struct):
+        with open(path, "rb") as fh:
+            self.blob = fh.read()
+        self.offset = 0
+        start = self.take(header.size, f"{magic.decode()} header")
+        found, version, *self.fields = header.unpack_from(self.blob, start)
+        if found != magic:
+            raise FormatError(f"bad magic {found!r} (expected {magic!r})")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported version {version}")
+
+    def take(self, n: int, what: str) -> int:
+        """Offset of the next ``n`` bytes, which count as read from now on."""
+        start, left = self.offset, len(self.blob) - self.offset
+        if n > left:
+            raise FormatError(f"file too short: the {what} needs {n} bytes, {left} are left")
+        self.offset += n
+        return start
+
+    def array(self, dtype: np.dtype, count: int, what: str, finite: bool = False) -> np.ndarray:
+        """The next ``count`` little-endian values, copied into a fresh array."""
+        offset = self.take(count * dtype.itemsize, what)
+        a = np.frombuffer(self.blob, dtype=_le(dtype), count=count, offset=offset)
+        a = a.astype(dtype, copy=True)
+        if finite and not np.isfinite(a).all():
+            raise FormatError(f"{what} contains non-finite values")
+        return a
+
+    def close(self) -> None:
+        if self.offset != len(self.blob):
+            raise FormatError(f"{len(self.blob) - self.offset} bytes follow the last payload")
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
@@ -62,40 +109,23 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise FormatError(f"expected a matrix, got order-{m.ndim} data")
-    dtype = np.dtype(m.dtype)
-    if dtype not in _DTYPE_CODES:
-        raise FormatError(f"unsupported dtype {dtype} (use float32 or float64)")
-    header = _MATRIX_HEADER.pack(
-        MATRIX_MAGIC, FORMAT_VERSION, _DTYPE_CODES[dtype], m.shape[0], m.shape[1]
-    )
+    code, _, dtype = _dtype_entry(1, np.dtype(m.dtype))
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(m, dtype=_le(dtype)).tobytes())
+        fh.write(_MATRIX_HEADER.pack(MATRIX_MAGIC, FORMAT_VERSION, code, *m.shape))
+        fh.write(np.ascontiguousarray(m, dtype=_le(dtype)))
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file, validating magic, version, and payload length."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _MATRIX_HEADER.size:
-        raise FormatError("file too short for a matrix header")
-    magic, version, dtype_code, rows, cols = _MATRIX_HEADER.unpack_from(blob)
-    if magic != MATRIX_MAGIC:
-        raise FormatError(f"bad magic {magic!r} (expected {MATRIX_MAGIC!r})")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    if dtype_code not in _CODE_DTYPES:
+    cursor = _Cursor(path, MATRIX_MAGIC, _MATRIX_HEADER)
+    dtype_code, rows, cols = cursor.fields
+    if dtype_code >= len(_DTYPES):
         raise FormatError(f"unknown dtype code {dtype_code}")
     if rows < 1 or cols < 1:
         raise FormatError(f"bad dimensions {rows}x{cols}")
-    dtype = _CODE_DTYPES[dtype_code]
-    expected = _MATRIX_HEADER.size + rows * cols * dtype.itemsize
-    if len(blob) != expected:
-        raise FormatError(
-            f"payload length mismatch: file has {len(blob)} bytes, expected {expected}"
-        )
-    payload = np.frombuffer(blob, dtype=_le(dtype), offset=_MATRIX_HEADER.size)
-    return payload.astype(dtype, copy=True).reshape(rows, cols)
+    matrix = cursor.array(_DTYPES[dtype_code][1], rows * cols, "payload").reshape(rows, cols)
+    cursor.close()
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -111,10 +141,10 @@ class Bundle:
 
 
 def write_bundle(path, chain: CoreChain, residual=None) -> None:
-    """Write a core chain plus optional (possibly quantized) residual."""
-    dtype = np.dtype(chain.dtype)
-    if dtype not in _DTYPE_NAMES:
-        raise FormatError(f"unsupported dtype {dtype}")
+    """Write a core chain plus optional (possibly quantized) residual.
+    Non-finite cores, residual entries or block scales raise NumericError
+    instead of giving a file that :func:`read_bundle` refuses."""
+    _, dtype_name, dtype = _dtype_entry(1, np.dtype(chain.dtype))
     shape = chain.shape
     quantized = isinstance(residual, QuantizedMatrix)
     if residual is not None:
@@ -125,11 +155,17 @@ def write_bundle(path, chain: CoreChain, residual=None) -> None:
             raise FormatError(
                 f"residual shape {res_shape} does not match chain {shape.rows}x{shape.cols}"
             )
+    cores = [np.ascontiguousarray(c.data, dtype=_le(dtype)) for c in chain.cores]
+    # The residual's float payload: its block scales, or the matrix itself.
+    tail = [] if residual is None else [
+        np.ascontiguousarray(residual.absmax if quantized else residual, dtype=_le(dtype))]
+    if not all(np.isfinite(a).all() for a in cores + tail):
+        raise NumericError("cannot write non-finite cores, residual entries or block scales")
     header = {
         "in_factors": list(shape.in_factors),
         "out_factors": list(shape.out_factors),
         "ranks": list(chain.ranks),
-        "dtype": _DTYPE_NAMES[dtype],
+        "dtype": dtype_name,
         "has_residual": residual is not None,
         "residual_quantized": quantized,
         "block_size": residual.block_size if quantized else None,
@@ -140,13 +176,12 @@ def write_bundle(path, chain: CoreChain, residual=None) -> None:
     with open(path, "wb") as fh:
         fh.write(_BUNDLE_HEADER.pack(BUNDLE_MAGIC, FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for core in chain.cores:
-            fh.write(np.ascontiguousarray(core.data, dtype=_le(dtype)).tobytes())
+        for a in cores:
+            fh.write(a)
         if quantized:
             fh.write(residual.packed.tobytes())
-            fh.write(np.ascontiguousarray(residual.absmax, dtype=_le(dtype)).tobytes())
-        elif residual is not None:
-            fh.write(np.ascontiguousarray(residual, dtype=_le(dtype)).tobytes())
+        for a in tail:
+            fh.write(a)
 
 
 def _header_field(header: dict, name: str, kind) -> object:
@@ -160,28 +195,13 @@ def _header_field(header: dict, name: str, kind) -> object:
     return value
 
 
-def _finite_payload(blob: bytes, dtype: np.dtype, offset: int, count: int) -> np.ndarray:
-    arr = np.frombuffer(blob, dtype=_le(dtype), offset=offset, count=count).astype(dtype, copy=True)
-    if not np.isfinite(arr).all():
-        raise FormatError("payload contains non-finite values")
-    return arr
-
-
 def read_bundle(path) -> Bundle:
-    """Read and validate a bundle file; rejects any size inconsistency."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _BUNDLE_HEADER.size:
-        raise FormatError("file too short for a bundle header")
-    magic, version, header_len = _BUNDLE_HEADER.unpack_from(blob)
-    if magic != BUNDLE_MAGIC:
-        raise FormatError(f"bad magic {magic!r} (expected {BUNDLE_MAGIC!r})")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    if len(blob) < _BUNDLE_HEADER.size + header_len:
-        raise FormatError("file too short for the declared header")
+    """Read and validate a bundle file in one pass over its bytes."""
+    cursor = _Cursor(path, BUNDLE_MAGIC, _BUNDLE_HEADER)
+    (header_len,) = cursor.fields
+    start = cursor.take(header_len, "declared header")
     try:
-        header = json.loads(blob[_BUNDLE_HEADER.size : _BUNDLE_HEADER.size + header_len])
+        header = json.loads(cursor.blob[start : start + header_len])
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"bundle header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -190,69 +210,30 @@ def read_bundle(path) -> Bundle:
     in_factors = _header_field(header, "in_factors", list)
     out_factors = _header_field(header, "out_factors", list)
     ranks = _header_field(header, "ranks", list)
-    dtype_name = _header_field(header, "dtype", str)
+    _, _, dtype = _dtype_entry(0, _header_field(header, "dtype", str))
     has_residual = _header_field(header, "has_residual", bool)
-    quantized = _header_field(header, "residual_quantized", bool)
+    quantized = _header_field(header, "residual_quantized", bool) and has_residual
     rows = _header_field(header, "original_rows", int)
     cols = _header_field(header, "original_cols", int)
-    if dtype_name not in _NAME_DTYPES:
-        raise FormatError(f"unknown dtype {dtype_name!r}")
-    dtype = _NAME_DTYPES[dtype_name]
+    block_size = _header_field(header, "block_size", int) if quantized else None
     # RecursionError: naming a bad value nested near json's depth limit can overflow.
     try:
         shape = MpoShape(in_factors, out_factors)
-        core_shapes = shape.core_shapes(ranks)
-    except (ShapeError, RecursionError) as exc:
-        raise FormatError(f"inconsistent factors or ranks: {exc}") from exc
-    if rows != shape.rows or cols != shape.cols:
-        raise FormatError(
-            f"declared matrix {rows}x{cols} does not match factors "
-            f"{shape.rows}x{shape.cols}"
-        )
-
-    core_bytes = sum(math.prod(s) for s in core_shapes) * dtype.itemsize
-    expected = _BUNDLE_HEADER.size + header_len + core_bytes
-    n_elements = rows * cols
-    block_size = header.get("block_size")
-    if has_residual:
+        if (rows, cols) != (shape.rows, shape.cols):
+            raise FormatError(f"declared matrix {rows}x{cols} does not match factors "
+                              f"{shape.rows}x{shape.cols}")
+        chain = CoreChain.from_arrays([
+            cursor.array(dtype, math.prod(s), f"core {k}", finite=True).reshape(s)
+            for k, s in enumerate(shape.core_shapes(ranks))])
+        residual = None
         if quantized:
-            if type(block_size) is not int or block_size < 1:
-                raise FormatError(f"bad block_size {block_size!r}")
-            n_blocks = math.ceil(n_elements / block_size)
-            expected += math.ceil(n_elements / 2) + n_blocks * dtype.itemsize
-        else:
-            expected += n_elements * dtype.itemsize
-    if len(blob) != expected:
-        raise FormatError(
-            f"payload length mismatch: file has {len(blob)} bytes, expected {expected}"
-        )
-
-    offset = _BUNDLE_HEADER.size + header_len
-    cores = []
-    for cshape in core_shapes:
-        count = math.prod(cshape)
-        cores.append(_finite_payload(blob, dtype, offset, count).reshape(cshape))
-        offset += count * dtype.itemsize
-    chain = CoreChain.from_arrays(cores)
-
-    residual = None
-    if has_residual:
-        if quantized:
-            n_packed = math.ceil(n_elements / 2)
-            packed = np.frombuffer(blob, dtype=np.uint8, offset=offset, count=n_packed).copy()
-            offset += n_packed
-            n_blocks = math.ceil(n_elements / block_size)
-            absmax = _finite_payload(blob, dtype, offset, n_blocks)
-            if np.any(absmax < 0):
-                raise FormatError("block scales must be non-negative")
-            residual = QuantizedMatrix(
-                packed=packed,
-                absmax=absmax,
-                block_size=block_size,
-                rows=rows,
-                cols=cols,
-                dtype=dtype,
-            )
-        else:
-            residual = _finite_payload(blob, dtype, offset, n_elements).reshape(rows, cols)
+            n_packed, n_blocks = QuantizedMatrix.layout(rows * cols, block_size)
+            packed = cursor.array(np.dtype(np.uint8), n_packed, "packed codes")
+            absmax = cursor.array(dtype, n_blocks, "block scales", finite=True)
+            residual = QuantizedMatrix(packed, absmax, block_size, rows, cols, dtype)
+        elif has_residual:
+            residual = cursor.array(dtype, rows * cols, "residual", finite=True).reshape(rows, cols)
+    except (ShapeError, ParameterError, RecursionError) as exc:
+        raise FormatError(f"inconsistent bundle: {exc}") from exc
+    cursor.close()
     return Bundle(chain=chain, residual=residual)

@@ -415,15 +415,13 @@ def _resolve_shape(dims, shapes, n) -> MpoShape:
         inf = outf = shapes
     else:
         raise ParameterError(f"expected a list or an {{'in', 'out'}} object, got {shapes!r}")
-    for factors, dim in ((inf, rows), (outf, cols)):
-        problem = _counts_problem(factors, 1)
-        if problem:
-            raise ParameterError(problem)
-        if math.prod(factors) != dim:
-            raise ShapeError(f"factors {list(factors)} do not multiply to {dim}")
-    if n is not None and len(inf) != n:
-        raise ParameterError(f"N={n} disagrees with shape length {len(inf)}")
-    return MpoShape(tuple(inf), tuple(outf))
+    shape = MpoShape(inf, outf)
+    if (shape.rows, shape.cols) != (rows, cols):
+        raise ShapeError(f"factors {shape.in_factors} x {shape.out_factors} multiply to "
+                         f"{shape.rows}x{shape.cols}, not {rows}x{cols}")
+    if n is not None and shape.n_cores != n:
+        raise ParameterError(f"N={n} disagrees with shape length {shape.n_cores}")
+    return shape
 
 
 def ablate(config: AblationConfig) -> tuple[list[TrainLog], list[tuple[int, str, float, float]]]:

@@ -43,7 +43,11 @@ class MpoShape:
     out_factors: tuple[int, ...]
 
     def __post_init__(self):
-        inf, outf = tuple(self.in_factors), tuple(self.out_factors)
+        try:
+            inf, outf = tuple(self.in_factors), tuple(self.out_factors)
+        except TypeError:
+            raise ShapeError(f"bad factors {self.in_factors!r} x {self.out_factors!r}: "
+                             "expected lists of integers") from None
         problem = ("lists differ in length" if len(inf) != len(outf)
                    else _counts_problem(inf + outf, 1))
         if problem:
@@ -203,16 +207,16 @@ def mpo_decompose(
     """Split W into a core chain by a left-to-right sweep of SVDs.
 
     At step k the working matrix is reshaped to (r_{k-1} * I_k * J_k, -1)
-    and factored; the top min(available, rank_threshold) singular triples
-    are kept, U becomes core k, and the rest is carried forward. Without a
-    threshold every triple is kept and the chain reconstructs W exactly.
+    and factored; the top r_k singular triples are kept, with r_k from
+    :func:`truncated_ranks`, U becomes core k, and the rest is carried
+    forward. Without a threshold every triple is kept and the chain
+    reconstructs W exactly.
     The sweep runs in float64 regardless of input dtype; cores are cast
     back at the end.
     """
     w = np.asarray(w)
     shape.check_matrix(w)
-    if rank_threshold is not None:
-        _reject(rank_threshold=_count_problem(rank_threshold, 1))
+    *sweep, last = shape.core_shapes(truncated_ranks(shape, rank_threshold))
     if not np.all(np.isfinite(w)):
         raise NumericError("matrix contains non-finite entries")
     out_dtype = w.dtype if w.dtype.type in (np.float32, np.float64) else np.float64
@@ -220,23 +224,16 @@ def mpo_decompose(
         return _zero_chain(shape, out_dtype)
 
     interleaved, _ = reorder_for_mpo(w.astype(np.float64, copy=False), shape)
-    inf, outf = shape.in_factors, shape.out_factors
-    n = shape.n_cores
-
     cores: list[np.ndarray] = []
     m = interleaved.data
-    r_prev = 1
-    for k in range(n - 1):
-        m = m.reshape(r_prev * inf[k] * outf[k], -1)
+    for k, (r0, i, j, r1) in enumerate(sweep):
         try:
-            u, s, vt = np.linalg.svd(m, full_matrices=False)
+            u, s, vt = np.linalg.svd(m.reshape(r0 * i * j, -1), full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"SVD failed at core {k}: {exc}") from exc
-        r_k = len(s) if rank_threshold is None else min(len(s), rank_threshold)
-        cores.append(u[:, :r_k].reshape(r_prev, inf[k], outf[k], r_k))
-        m = s[:r_k, None] * vt[:r_k, :]
-        r_prev = r_k
-    cores.append(np.reshape(m, (r_prev, inf[-1], outf[-1], 1)))
+        cores.append(u[:, :r1].reshape(r0, i, j, r1))
+        m = s[:r1, None] * vt[:r1, :]
+    cores.append(m.reshape(last))
     return CoreChain.from_arrays([c.astype(out_dtype, copy=False) for c in cores])
 
 
@@ -274,11 +271,16 @@ def param_count(shape: MpoShape, ranks: Sequence[int]) -> int:
 
 
 def reconstruction_error(w: np.ndarray, chain: CoreChain) -> float:
-    """Relative Frobenius error of the chain against the target matrix."""
+    """Relative Frobenius error of the chain against the target matrix.
+    NumericError if either holds a non-finite entry (or their norms overflow)."""
     w = np.asarray(w, dtype=np.float64)
     chain.shape.check_matrix(w)
-    diff = np.linalg.norm(w - reconstruct(chain).astype(np.float64, copy=False))
-    denom = np.linalg.norm(w)
+    denom = float(np.linalg.norm(w))
+    # A non-finite w skips the subtraction, where inf - inf would warn.
+    diff = (float(np.linalg.norm(w - reconstruct(chain).astype(np.float64, copy=False)))
+            if math.isfinite(denom) else math.nan)
+    if not math.isfinite(diff):
+        raise NumericError("non-finite entries in the matrix or the chain")
     if denom == 0.0:
         return 0.0 if diff == 0.0 else float("inf")
-    return float(diff / denom)
+    return diff / denom

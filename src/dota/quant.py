@@ -9,7 +9,6 @@ is rounded to the nearest level. Codes are packed two per byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -125,10 +124,8 @@ class QuantizedMatrix:
     dtype: np.dtype = np.dtype(np.float64)
 
     def __post_init__(self):
-        _reject(block_size=_count_problem(self.block_size, 1))
-        n = self.rows * self.cols
-        n_blocks = math.ceil(n / self.block_size)
-        if self.packed.dtype != np.uint8 or self.packed.size != math.ceil(n / 2):
+        n_packed, n_blocks = self.layout(self.rows * self.cols, self.block_size)
+        if self.packed.dtype != np.uint8 or self.packed.size != n_packed:
             raise ShapeError("packed code array has the wrong size or dtype")
         if self.absmax.size != n_blocks:
             raise ShapeError(
@@ -136,6 +133,13 @@ class QuantizedMatrix:
             )
         if np.any(self.absmax < 0):
             raise ShapeError("block scales must be non-negative")
+
+    @staticmethod
+    def layout(n_elements: int, block_size: int) -> tuple[int, int]:
+        """Packed code bytes and block scales for ``n_elements`` values: two
+        codes per byte, one scale per block of ``block_size`` values."""
+        _reject(block_size=_count_problem(block_size, 1))
+        return -(-n_elements // 2), -(-n_elements // block_size)
 
     @property
     def n_elements(self) -> int:
@@ -155,7 +159,7 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
     w = np.asarray(w)
     if w.ndim != 2:
         raise ShapeError(f"expected a matrix, got order-{w.ndim} input")
-    _reject(block_size=_count_problem(block_size, 1))
+    _, n_blocks = QuantizedMatrix.layout(w.size, block_size)
     if not np.all(np.isfinite(w)):
         raise NumericError("matrix contains non-finite entries")
     book = nf4_codebook()
@@ -163,16 +167,14 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
 
     flat = w.astype(np.float64, copy=False).reshape(-1)
     n = flat.size
-    n_blocks = math.ceil(n / block_size)
     padded = np.zeros(n_blocks * block_size)
     padded[:n] = flat
     blocks = padded.reshape(n_blocks, block_size)
 
     scales = np.abs(blocks).max(axis=1)
+    # An all-zero block divides by 1 instead of 0; its zeros encode to the zero code.
     safe = np.where(scales == 0.0, 1.0, scales)
-    normalized = blocks / safe[:, None]
-    codes = book.encode(normalized)
-    codes[scales == 0.0, :] = book.zero_code
+    codes = book.encode(blocks / safe[:, None])
 
     return QuantizedMatrix(
         packed=_pack_codes(codes.reshape(-1)[:n]),
@@ -207,10 +209,6 @@ class QdotaAdapter:
         if self.cores.shape != self.shape:
             raise ShapeError("core chain factors do not match the adapter shape")
         self._dequantized: np.ndarray | None = None
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.q_res.dtype
 
     @property
     def trainable_params(self) -> int:

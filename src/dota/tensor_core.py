@@ -17,9 +17,9 @@ SUPPORTED_DTYPES = (np.float32, np.float64)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    if a.flags.writeable:
-        a = a.copy()
+    """``a`` itself if it is read-only and C-contiguous, else one read-only copy."""
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
         a.flags.writeable = False
     return a
 

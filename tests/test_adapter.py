@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dota.adapter
 from dota import (
     CoreChain,
     DotaAdapter,
@@ -153,6 +154,30 @@ class TestInit:
         adapter = dota_init(rand((8, 8), seed=3), MpoShape.square([2, 4]), 2)
         with pytest.raises(ValueError):
             adapter.w_res[0, 0] = 1.0
+
+    def test_read_only_residual_is_adopted_and_writeable_one_copied(self):
+        shape = MpoShape.square([2, 4])
+        chain = mpo_decompose(rand((8, 8), seed=3), shape, 2)
+        frozen = rand((8, 8), seed=4)
+        frozen.flags.writeable = False
+        assert np.shares_memory(DotaAdapter(frozen, chain, shape).w_res, frozen)
+        writeable = rand((8, 8), seed=4)
+        adapter = DotaAdapter(writeable, chain, shape)
+        assert not np.shares_memory(adapter.w_res, writeable)
+        assert not adapter.w_res.flags.writeable
+
+    def test_init_residual_is_not_copied_again(self, monkeypatch):
+        handed_over = []
+
+        class Spy(DotaAdapter):
+            def __post_init__(self):
+                handed_over.append(self.w_res)
+                super().__post_init__()
+
+        monkeypatch.setattr(dota.adapter, "DotaAdapter", Spy)
+        adapter = dota_init(rand((8, 8), seed=3), MpoShape.square([2, 4]), 2)
+        # dota_init computes the residual once; the adapter keeps that very array
+        assert adapter.w_res is handed_over[0]
 
 
 class TestForward:

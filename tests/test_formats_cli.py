@@ -27,6 +27,16 @@ def rand(shape, seed=0, dtype=np.float64):
     return np.random.default_rng(seed).normal(size=shape).astype(dtype)
 
 
+def set_header_field(path, field, value) -> None:
+    """Rewrite one field of a bundle's JSON header and its declared length."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[5:9], "little")
+    header = json.loads(blob[9 : 9 + n])
+    header[field] = value
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:5] + len(raw).to_bytes(4, "little") + raw + blob[9 + n :])
+
+
 class TestMatrixFile:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_roundtrip_bitwise(self, tmp_path, dtype):
@@ -137,14 +147,7 @@ class TestBundleFile:
         _, chain = self.make_chain()
         path = tmp_path / "b.dotc"
         write_bundle(path, chain, None)
-        blob = bytearray(path.read_bytes())
-        # tamper with the declared ranks inside the JSON header
-        header_len = int.from_bytes(blob[5:9], "little")
-        header = json.loads(bytes(blob[9 : 9 + header_len]))
-        header["ranks"] = [1, 999, 1]
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        rebuilt = blob[:5] + len(new_header).to_bytes(4, "little") + new_header + blob[9 + header_len:]
-        path.write_bytes(bytes(rebuilt))
+        set_header_field(path, "ranks", [1, 999, 1])
         with pytest.raises(FormatError):
             read_bundle(path)
 
@@ -163,12 +166,28 @@ class TestBundleFile:
         chain = mpo_decompose(w, MpoShape((1,), (1,)))
         path = tmp_path / "b.dotc"
         write_bundle(path, chain, quantize_nf4(w - reconstruct(chain), 1))
+        set_header_field(path, field, value)
+        with pytest.raises(FormatError):
+            read_bundle(path)
+
+    def test_rejects_negative_block_scale(self, tmp_path):
+        w, chain = self.make_chain()
+        path = tmp_path / "b.dotc"
+        write_bundle(path, chain, quantize_nf4(w - reconstruct(chain), 32))
         blob = path.read_bytes()
-        header_len = int.from_bytes(blob[5:9], "little")
-        header = json.loads(blob[9 : 9 + header_len])
-        header[field] = value
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(blob[:5] + len(new_header).to_bytes(4, "little") + new_header + blob[9 + header_len:])
+        # the block scales end the file; make the last one negative
+        path.write_bytes(blob[:-8] + np.float64(-0.5).tobytes())
+        with pytest.raises(FormatError):
+            read_bundle(path)
+
+    def test_rejects_zero_block_size(self, tmp_path):
+        # the scale count divides by the block size, so the block-size rule
+        # has to reject 0 first, and as a FormatError
+        w = np.array([[2.0]])
+        chain = mpo_decompose(w, MpoShape((1,), (1,)))
+        path = tmp_path / "b.dotc"
+        write_bundle(path, chain, quantize_nf4(np.array([[0.5]]), 1))
+        set_header_field(path, "block_size", 0)
         with pytest.raises(FormatError):
             read_bundle(path)
 
@@ -391,6 +410,16 @@ class TestCliDecomposeReconstruct:
         ])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--shape-in", "4,0"), ("--shape-out", "0"), ("--shape-in", "2.5"),
+    ])
+    def test_bad_factor_is_usage_error_before_reading_input(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decompose", "--input", str(tmp_path / "missing.dotm"), flag, value,
+                  "--out", str(tmp_path / "o.dotc")])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_no_preset_for_dimension_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "w.dotm"

@@ -332,9 +332,10 @@ class TestConfigValidation:
         ("shapes", dict(shapes=[4, 4, None])),
         ("shapes", dict(shapes=[4, 4, [4]])),
         ("shapes", dict(shapes={"in": "444", "out": [4, 4, 4]})),
+        ("shapes", dict(shapes={"in": 64, "out": 64})),
         ("N", dict(shapes=None, N=True)),
         ("dims", dict(dims=[True, 1], shapes=None, N=1)),
-    ], ids=["str", "float", "bool", "null", "list", "in-string", "N-bool", "dims-bool"])
+    ], ids=["str", "float", "bool", "null", "list", "in-string", "in-int", "N-bool", "dims-bool"])
     def test_non_integer_shape_fields_are_named(self, key, overrides):
         # none of these may be coerced to an integer or escape as a raw error
         raw = dict(dims=64, shapes=[4, 4, 4], R=2, steps=1, lr=0.1, seeds=[1],

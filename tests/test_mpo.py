@@ -45,7 +45,8 @@ class TestMpoShape:
         ((0,), (1,)),
         ((), ()),
         ((2, 2), (4,)),
-    ], ids=["float", "bool", "str", "zero", "empty", "lengths"])
+        (4, 4),
+    ], ids=["float", "bool", "str", "zero", "empty", "lengths", "not-a-list"])
     def test_rejects_bad_factors(self, in_factors, out_factors):
         with pytest.raises(ShapeError):
             MpoShape(in_factors, out_factors)
@@ -182,6 +183,17 @@ class TestDecompose:
         w = rand((12, 12), seed=seed)
         chain = mpo_decompose(w, shape, rank)
         assert param_count(shape, chain.ranks) == chain.num_params
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_ranks_are_the_truncated_ranks(self, data):
+        # the sweep keeps exactly the bond ranks truncated_ranks promises
+        n = data.draw(st.integers(1, 4))
+        factors = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+        shape = MpoShape(tuple(data.draw(factors)), tuple(data.draw(factors)))
+        rank = data.draw(st.one_of(st.none(), st.integers(1, 6)))
+        w = rand((shape.rows, shape.cols), seed=data.draw(st.integers(0, 99)))
+        assert mpo_decompose(w, shape, rank).ranks == truncated_ranks(shape, rank)
 
 
 class TestReconstruct:
