@@ -53,38 +53,7 @@ def chain_gradients(chain: CoreChain, dw: np.ndarray) -> CoreGradients:
     return CoreGradients(tuple(reversed(grads)))
 
 
-def _checked_input(shape: MpoShape, x) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != shape.rows:
-        raise ShapeError(f"input shape {x.shape} does not match weight rows {shape.rows}")
-    return x
-
-
-def _checked_pair(shape: MpoShape, x, dy) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x)
-    dy = np.asarray(dy)
-    if x.ndim != 2 or dy.ndim != 2 or x.shape[0] != dy.shape[0]:
-        raise ShapeError(f"batch mismatch: x {x.shape} vs dy {dy.shape}")
-    if x.shape[1] != shape.rows or dy.shape[1] != shape.cols:
-        raise ShapeError(
-            f"x {x.shape} / dy {dy.shape} do not match weight {(shape.rows, shape.cols)}"
-        )
-    return x, dy
-
-
-def _stepped(chain: CoreChain, grads: CoreGradients, lr: float) -> CoreChain:
-    """One plain gradient-descent step on every core of the chain. A
-    non-finite rate or gradient entry raises before any core changes."""
-    grads.check_against(chain)
-    if not (np.isfinite(lr) and all(np.isfinite(g).all() for g in grads.tensors)):
-        raise NumericError("non-finite learning rate or gradient entry")
-    return CoreChain(tuple(
-        DenseTensor(c.data - lr * g.astype(c.dtype, copy=False))
-        for c, g in zip(chain.cores, grads.tensors)
-    ))
-
-
-@dataclass
+@dataclass(eq=False)
 class DotaAdapter:
     """Frozen residual matrix plus a trainable core chain for one layer.
 
@@ -114,7 +83,9 @@ class DotaAdapter:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """y = x @ w_res + x @ reconstruct(cores); the two branches are kept
         separate so the frozen and trainable paths stay distinguishable."""
-        x = _checked_input(self.shape, x)
+        x = np.asarray(x)
+        if x.ndim != 2 or x.shape[1] != self.shape.rows:
+            raise ShapeError(f"input shape {x.shape} does not match weight rows {self.shape.rows}")
         return x @ self.w_res + x @ reconstruct(self.cores)
 
     def backward(self, x: np.ndarray, dy: np.ndarray) -> tuple[CoreGradients, np.ndarray]:
@@ -125,14 +96,26 @@ class DotaAdapter:
         effective weight, which is algebraically identical to
         backpropagating the two branches separately.
         """
-        x, dy = _checked_pair(self.shape, x, dy)
+        x, dy = np.asarray(x), np.asarray(dy)
+        weight = (self.shape.rows, self.shape.cols)
+        if x.ndim != 2 or dy.ndim != 2 or x.shape[0] != dy.shape[0]:
+            raise ShapeError(f"batch mismatch: x {x.shape} vs dy {dy.shape}")
+        if (x.shape[1], dy.shape[1]) != weight:
+            raise ShapeError(f"x {x.shape} / dy {dy.shape} do not match weight {weight}")
         grads = chain_gradients(self.cores, x.T @ dy)
         dx = dy @ self.merge().T
         return grads, dx
 
     def apply_gradients(self, grads: CoreGradients, lr: float) -> None:
-        """One plain gradient-descent step on the cores; the residual is untouched."""
-        self.cores = _stepped(self.cores, grads, lr)
+        """One plain gradient-descent step on the cores; the residual is untouched.
+        A non-finite rate or gradient entry raises before any core changes."""
+        grads.check_against(self.cores)
+        if not (np.isfinite(lr) and all(np.isfinite(g).all() for g in grads.tensors)):
+            raise NumericError("non-finite learning rate or gradient entry")
+        self.cores = CoreChain(tuple(
+            DenseTensor(c.data - lr * g.astype(c.dtype, copy=False))
+            for c, g in zip(self.cores.cores, grads.tensors)
+        ))
 
 
 def dota_init(

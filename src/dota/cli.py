@@ -90,7 +90,7 @@ def _cmd_reconstruct(args) -> int:
     merged = reconstruct(bundle.chain)
     if bundle.residual is not None:
         if bundle.residual_quantized:
-            merged = merged + dequantize_nf4(bundle.residual).astype(merged.dtype)
+            merged = merged + dequantize_nf4(bundle.residual)
         else:
             merged = merged + bundle.residual
     write_matrix(args.out, merged)

@@ -128,7 +128,7 @@ def read_matrix(path) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bundle:
     """In-memory view of a core-bundle file."""
 

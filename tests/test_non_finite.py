@@ -43,12 +43,18 @@ def _bundle_with_bad_core(w, path):
     write_bundle(path, CoreChain.from_arrays(cores), None)
 
 
-def _bundle_with_bad_block_scale(w, path):
+def _quantized_with_bad_block_scale(w, path):
     q = quantize_nf4(rand((16, 16)), 32)
     scales = q.absmax.copy()
-    # -inf is taken as +inf: QuantizedMatrix already refuses a negative scale
-    scales[-1] = abs(w.flat[w.size // 3])
-    write_bundle(path, _chain(), QuantizedMatrix(q.packed, scales, 32, 16, 16))
+    scales[-1] = w.flat[w.size // 3]
+    QuantizedMatrix(q.packed, scales, 32, 16, 16)
+
+
+def _bundle_with_bad_block_scale(w, path):
+    q = quantize_nf4(rand((16, 16)), 32)
+    # QuantizedMatrix refuses a non-finite scale, so it goes in after construction.
+    q.absmax[-1] = w.flat[w.size // 3]
+    write_bundle(path, _chain(), q)
 
 
 # Each takes the poisoned matrix and a path to write to.
@@ -57,6 +63,7 @@ ENTRY_POINTS = {
     "dota_init": lambda w, path: dota_init(w, SHAPE, 2),
     "qdota_init": lambda w, path: qdota_init(w, SHAPE, 2),
     "quantize_nf4": lambda w, path: quantize_nf4(w),
+    "QuantizedMatrix": _quantized_with_bad_block_scale,
     "reconstruction_error": lambda w, path: reconstruction_error(w, _chain()),
     "DotaAdapter": lambda w, path: DotaAdapter(w_res=w, cores=_chain(), shape=SHAPE),
     "write_bundle-residual": lambda w, path: write_bundle(path, _chain(), w),

@@ -12,6 +12,7 @@ from dota import (
     NF4_LEVELS,
     NumericError,
     ParameterError,
+    QdotaAdapter,
     QuantizedMatrix,
     ShapeError,
     chain_gradients,
@@ -165,9 +166,7 @@ class TestQdota:
         quantized = qdota_init(w0, shape, 2, block_size=32)
         # the chain is shared, so merge difference == residual quantization error
         merge_gap = np.linalg.norm(quantized.merge() - plain.merge())
-        res_gap = np.linalg.norm(
-            quantized.dequantized_residual() - plain.w_res
-        )
+        res_gap = np.linalg.norm(quantized.w_res - plain.w_res)
         assert abs(merge_gap - res_gap) <= 1e-12
 
     def test_merge_error_triangle_bound(self):
@@ -175,7 +174,7 @@ class TestQdota:
         shape = MpoShape.square([4, 4])
         adapter = qdota_init(w0, shape, 2, block_size=32)
         plain = dota_init(w0, shape, 2)
-        quant_err = np.linalg.norm(adapter.dequantized_residual() - plain.w_res)
+        quant_err = np.linalg.norm(adapter.w_res - plain.w_res)
         assert np.linalg.norm(adapter.merge() - w0) <= quant_err + 1e-10
 
     def test_untruncated_residual_is_exact(self):
@@ -197,13 +196,12 @@ class TestQdota:
         shape = MpoShape.square([4, 4])
         adapter = qdota_init(w0, shape, 2, block_size=32)
         substitute = DotaAdapter(
-            w_res=adapter.dequantized_residual().copy(),
+            w_res=adapter.w_res.copy(),
             cores=adapter.cores,
             shape=shape,
         )
         x = rand((5, 16), seed=13, scale=1.0)
-        diff = adapter.forward(x) - substitute.forward(x)
-        assert np.linalg.norm(diff) <= 1e-12 * max(1.0, np.linalg.norm(substitute.forward(x)))
+        assert np.array_equal(adapter.forward(x), substitute.forward(x))
 
     def test_gradients_leave_residual_untouched(self):
         w0 = rand((8, 8), seed=14, scale=1.0)
@@ -222,13 +220,27 @@ class TestQdota:
         shape = MpoShape.square([2, 4])
         adapter = qdota_init(w0, shape, 2, block_size=16)
         substitute = DotaAdapter(
-            w_res=adapter.dequantized_residual().copy(),
+            w_res=adapter.w_res.copy(),
             cores=adapter.cores,
             shape=shape,
         )
         x = rand((4, 8), seed=17, scale=1.0)
         dy = rand((4, 8), seed=18, scale=1.0)
-        ga, _ = adapter.backward(x, dy)
-        gb, _ = substitute.backward(x, dy)
+        ga, dxa = adapter.backward(x, dy)
+        gb, dxb = substitute.backward(x, dy)
         for a, b in zip(ga.tensors, gb.tensors):
             assert np.array_equal(a, b)
+        assert np.array_equal(dxa, dxb)
+
+    def test_is_a_dota_adapter_with_residual_decoded_once(self):
+        adapter = qdota_init(rand((16, 16), seed=22, scale=1.0), MpoShape.square([4, 4]), 2)
+        assert isinstance(adapter, DotaAdapter)
+        assert not adapter.w_res.flags.writeable
+        assert adapter.w_res.tobytes() == dequantize_nf4(adapter.q_res).tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [(8, 16), (16, 8)])
+    def test_quantized_residual_of_wrong_shape_raises(self, rows, cols):
+        adapter = qdota_init(rand((16, 16), seed=23, scale=1.0), MpoShape.square([4, 4]), 2)
+        q_res = quantize_nf4(rand((rows, cols), seed=24), 32)
+        with pytest.raises(ShapeError):
+            QdotaAdapter(q_res=q_res, cores=adapter.cores, shape=adapter.shape)
