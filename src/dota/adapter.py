@@ -3,16 +3,24 @@
 The adapter splits a pretrained weight W0 into a truncated core chain and
 the residual W0 - reconstruct(chain). The residual stays frozen, so the
 effective weight starts exactly at W0 and all training signal flows into
-the cores. Gradients w.r.t. each core are exact: the upstream weight
-gradient x^T dy is contracted with the chain in one right-to-left pass,
-against the same left sweep that ``reconstruct`` runs, so a full
-backward costs two passes over the chain.
+the cores. Gradients w.r.t. each core are exact.
+
+A training step applies the chain to the batch one core at a time (the
+tensor-train matrix-by-vector product): the forward pass sweeps x through
+the cores left to right, the backward pass sweeps dy right to left, and
+each core's gradient pairs the two sweeps' states at that core, so no
+dense delta or x^T dy is formed. Where that costs more multiply-adds than
+the dense product, as for large batches on small layers, a step
+multiplies by the reconstructed chain instead and takes the gradients
+from x^T dy through :func:`chain_gradients`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +61,69 @@ def chain_gradients(chain: CoreChain, dw: np.ndarray) -> CoreGradients:
     return CoreGradients(tuple(reversed(grads)))
 
 
+def _sweep_states(chain: CoreChain, batch: int) -> tuple[list, list]:
+    """Shapes (P, c, Q) of the batch state at each core k, in the left sweep
+    of x (c = r_k * I_k) and in the right sweep of dy (c = J_k * r_{k+1}).
+    P is the batch times the output modes J_<k, Q the input modes I_>k."""
+    i, j, r = chain.in_factors, chain.out_factors, chain.ranks
+    pq = [(batch * math.prod(j[:k]), math.prod(i[k + 1:])) for k in range(len(chain))]
+    return ([(p, r[k] * i[k], q) for k, (p, q) in enumerate(pq)],
+            [(p, j[k] * r[k + 1], q) for k, (p, q) in enumerate(pq)])
+
+
+def _sweep_is_cheaper(chain: CoreChain, batch: int) -> bool:
+    """Whether one batch sweep takes no more multiply-adds than the dense
+    path: x times the delta, the delta's addition and its reconstruction."""
+    sizes = [c.size for c in chain.cores]
+    sweep = sum(p * q * s for (p, _, q), s in zip(_sweep_states(chain, batch)[0], sizes))
+    modes = [i * j for i, j in zip(chain.in_factors, chain.out_factors)]
+    rebuild = sum(math.prod(modes[:k]) * s for k, s in enumerate(sizes))
+    area = chain.shape.rows * chain.shape.cols
+    return sweep <= (batch + 1) * area + rebuild
+
+
+def _sweep(a: np.ndarray, mats: Sequence[np.ndarray], states) -> Iterator[np.ndarray]:
+    """Yield ``a`` reshaped to each (P, c, Q) state, then the product that
+    the last matrix leaves. Matrix m maps a state to m @ state, (P, c', Q),
+    whose next state is a free reshape."""
+    for m, s in zip(mats, states):
+        a = a.reshape(s)
+        yield a
+        a = m @ a if s[2] > 1 else a.reshape(s[:2]) @ m.T
+    yield a
+
+
+def _core_matrices(chain: CoreChain) -> list[np.ndarray]:
+    """Core k as a float64 (r_k * I_k, J_k * r_{k+1}) matrix."""
+    return [c.data.astype(np.float64, copy=False).reshape(c.shape[0] * c.shape[1], -1)
+            for c in chain.cores]
+
+
+def _chain_forward(x: np.ndarray, chain: CoreChain) -> np.ndarray:
+    """x @ reconstruct(chain), by a left-to-right sweep of x through the cores."""
+    lefts, _ = _sweep_states(chain, x.shape[0])
+    *_, y = _sweep(x.astype(np.float64, copy=False), [m.T for m in _core_matrices(chain)], lefts)
+    y = y.reshape(x.shape[0], chain.shape.cols)
+    return y.astype(np.result_type(x, chain.dtype), copy=False)
+
+
+def _chain_backward(x: np.ndarray, dy: np.ndarray,
+                    chain: CoreChain) -> tuple[CoreGradients, np.ndarray]:
+    """chain_gradients(chain, x.T @ dy) and dy @ reconstruct(chain).T, by
+    the left sweep of x and a right-to-left sweep of dy. The gradient of
+    core k sums the two sweeps' states at core k over P and Q."""
+    lefts, rights = _sweep_states(chain, x.shape[0])
+    mats = _core_matrices(chain)
+    left = list(islice(_sweep(x.astype(np.float64, copy=False), [m.T for m in mats], lefts),
+                       len(chain)))
+    right = _sweep(dy.astype(np.float64, copy=False), mats[::-1], rights[::-1])
+    grads = [np.tensordot(a, next(right), axes=([0, 2], [0, 2])).reshape(core.shape)
+             for a, core in zip(left[::-1], chain.cores[::-1])]
+    dx = next(right).reshape(x.shape[0], chain.shape.rows).astype(
+        np.result_type(dy, chain.dtype), copy=False)
+    return CoreGradients(tuple(grads[::-1])), dx
+
+
 @dataclass(eq=False)
 class DotaAdapter:
     """Frozen residual matrix plus a trainable core chain for one layer.
@@ -82,19 +153,24 @@ class DotaAdapter:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """y = x @ w_res + x @ reconstruct(cores); the two branches are kept
-        separate so the frozen and trainable paths stay distinguishable."""
+        separate so the frozen and trainable paths stay distinguishable.
+        The chain's branch is a batch sweep wherever that takes fewer
+        multiply-adds than forming the delta."""
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.shape.rows:
             raise ShapeError(f"input shape {x.shape} does not match weight rows {self.shape.rows}")
+        if _sweep_is_cheaper(self.cores, x.shape[0]):
+            return x @ self.w_res + _chain_forward(x, self.cores)
         return x @ self.w_res + x @ reconstruct(self.cores)
 
     def backward(self, x: np.ndarray, dy: np.ndarray) -> tuple[CoreGradients, np.ndarray]:
         """Gradients of the loss w.r.t. every core, plus the input gradient.
 
-        ``dy`` is the loss gradient at the output. The weight gradient
-        x^T dy goes through :func:`chain_gradients`; dx uses the merged
-        effective weight, which is algebraically identical to
-        backpropagating the two branches separately.
+        ``dy`` is the loss gradient at the output. Where batch sweeps take
+        fewer multiply-adds, they give the core gradients and the chain's
+        share of dx, which adds to dy @ w_res.T. Otherwise the weight
+        gradient x^T dy goes through :func:`chain_gradients` and dx uses the
+        merged effective weight, which is algebraically identical.
         """
         x, dy = np.asarray(x), np.asarray(dy)
         weight = (self.shape.rows, self.shape.cols)
@@ -102,9 +178,10 @@ class DotaAdapter:
             raise ShapeError(f"batch mismatch: x {x.shape} vs dy {dy.shape}")
         if (x.shape[1], dy.shape[1]) != weight:
             raise ShapeError(f"x {x.shape} / dy {dy.shape} do not match weight {weight}")
-        grads = chain_gradients(self.cores, x.T @ dy)
-        dx = dy @ self.merge().T
-        return grads, dx
+        if _sweep_is_cheaper(self.cores, x.shape[0]):
+            grads, dx = _chain_backward(x, dy, self.cores)
+            return grads, dy @ self.w_res.T + dx
+        return chain_gradients(self.cores, x.T @ dy), dy @ self.merge().T
 
     def apply_gradients(self, grads: CoreGradients, lr: float) -> None:
         """One plain gradient-descent step on the cores; the residual is untouched.

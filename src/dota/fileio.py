@@ -195,6 +195,13 @@ def _header_field(header: dict, name: str, kind) -> object:
     return value
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A fresh array made read-only in place, so the immutable type that
+    takes it (a core or a quantized matrix) adopts it without a copy."""
+    a.flags.writeable = False
+    return a
+
+
 def read_bundle(path) -> Bundle:
     """Read and validate a bundle file in one pass over its bytes."""
     cursor = _Cursor(path, BUNDLE_MAGIC, _BUNDLE_HEADER)
@@ -223,14 +230,15 @@ def read_bundle(path) -> Bundle:
             raise FormatError(f"declared matrix {rows}x{cols} does not match factors "
                               f"{shape.rows}x{shape.cols}")
         chain = CoreChain.from_arrays([
-            cursor.array(dtype, math.prod(s), f"core {k}", finite=True).reshape(s)
+            _frozen(cursor.array(dtype, math.prod(s), f"core {k}", finite=True)).reshape(s)
             for k, s in enumerate(shape.core_shapes(ranks))])
         residual = None
         if quantized:
             n_packed, n_blocks = QuantizedMatrix.layout(rows * cols, block_size)
             packed = cursor.array(np.dtype(np.uint8), n_packed, "packed codes")
             absmax = cursor.array(dtype, n_blocks, "block scales", finite=True)
-            residual = QuantizedMatrix(packed, absmax, block_size, rows, cols, dtype)
+            residual = QuantizedMatrix(_frozen(packed), _frozen(absmax),
+                                       block_size, rows, cols, dtype)
         elif has_residual:
             residual = cursor.array(dtype, rows * cols, "residual", finite=True).reshape(rows, cols)
     except (ShapeError, ParameterError, RecursionError) as exc:

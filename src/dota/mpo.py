@@ -270,17 +270,26 @@ def param_count(shape: MpoShape, ranks: Sequence[int]) -> int:
     return sum(math.prod(s) for s in shape.core_shapes(ranks))
 
 
-def reconstruction_error(w: np.ndarray, chain: CoreChain) -> float:
-    """Relative Frobenius error of the chain against the target matrix.
-    NumericError if either holds a non-finite entry (or their norms overflow)."""
+def _residual_error(w: np.ndarray, chain: CoreChain) -> tuple[np.ndarray, float]:
+    """The float64 residual W - reconstruct(chain) and its Frobenius norm
+    relative to W's. NumericError if either holds a non-finite entry (or
+    their norms overflow)."""
     w = np.asarray(w, dtype=np.float64)
     chain.shape.check_matrix(w)
     denom = float(np.linalg.norm(w))
     # A non-finite w skips the subtraction, where inf - inf would warn.
-    diff = (float(np.linalg.norm(w - reconstruct(chain).astype(np.float64, copy=False)))
-            if math.isfinite(denom) else math.nan)
+    if not math.isfinite(denom):
+        raise NumericError("non-finite entries in the matrix or the chain")
+    d = w - reconstruct(chain).astype(np.float64, copy=False)
+    diff = float(np.linalg.norm(d))
     if not math.isfinite(diff):
         raise NumericError("non-finite entries in the matrix or the chain")
     if denom == 0.0:
-        return 0.0 if diff == 0.0 else float("inf")
-    return diff / denom
+        return d, 0.0 if diff == 0.0 else float("inf")
+    return d, diff / denom
+
+
+def reconstruction_error(w: np.ndarray, chain: CoreChain) -> float:
+    """Relative Frobenius error of the chain against the target matrix.
+    NumericError if either holds a non-finite entry (or their norms overflow)."""
+    return _residual_error(w, chain)[1]

@@ -18,6 +18,7 @@ from .errors import NumericError, ParameterError, ShapeError, _count_problem, _r
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
 # chain_gradients is unused here; the benchmark's tracer wraps quant.chain_gradients.
 from .adapter import DotaAdapter, chain_gradients
+from .tensor_core import _as_readonly
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -115,7 +116,10 @@ def _unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantizedMatrix:
-    """NF4 codes (packed two per byte) plus one absmax scale per block."""
+    """NF4 codes (packed two per byte) plus one absmax scale per block.
+
+    Both arrays are read-only: a read-only, C-contiguous array is adopted as
+    it is, any other is copied once and the copy made read-only."""
 
     packed: np.ndarray
     absmax: np.ndarray
@@ -136,6 +140,8 @@ class QuantizedMatrix:
             raise NumericError("block scales must be finite")
         if np.any(self.absmax < 0):
             raise ShapeError("block scales must be non-negative")
+        object.__setattr__(self, "packed", _as_readonly(self.packed))
+        object.__setattr__(self, "absmax", _as_readonly(self.absmax))
 
     @staticmethod
     def layout(n_elements: int, block_size: int) -> tuple[int, int]:
@@ -179,9 +185,11 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
     safe = np.where(scales == 0.0, 1.0, scales)
     codes = book.encode(blocks / safe[:, None])
 
+    packed, absmax = _pack_codes(codes.reshape(-1)[:n]), scales.astype(dtype)
+    packed.flags.writeable = absmax.flags.writeable = False  # fresh, so adopted without a copy
     return QuantizedMatrix(
-        packed=_pack_codes(codes.reshape(-1)[:n]),
-        absmax=scales.astype(dtype),
+        packed=packed,
+        absmax=absmax,
         block_size=block_size,
         rows=w.shape[0],
         cols=w.shape[1],

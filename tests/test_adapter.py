@@ -4,7 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dota.adapter
+from dota.adapter import _chain_backward, _chain_forward, _sweep_is_cheaper
 from dota import (
+    SHAPE_PRESETS,
     CoreChain,
     DotaAdapter,
     MpoShape,
@@ -65,12 +67,13 @@ def einsum_chain_gradients(chain, dw):
 
 
 @st.composite
-def random_chains(draw):
-    """Chains of 1-4 cores, factors 1-4, bonds truncated at 1-4, f32 or f64."""
-    n = draw(st.integers(1, 4))
+def random_chains(draw, max_cores=4, max_rank=4):
+    """Chains of 1-max_cores cores, factors 1-4, bonds truncated at
+    1-max_rank, f32 or f64."""
+    n = draw(st.integers(1, max_cores))
     factors = st.lists(st.integers(1, 4), min_size=n, max_size=n)
     shape = MpoShape(tuple(draw(factors)), tuple(draw(factors)))
-    ranks = truncated_ranks(shape, draw(st.integers(1, 4)))
+    ranks = truncated_ranks(shape, draw(st.integers(1, max_rank)))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return CoreChain.from_arrays([
@@ -103,6 +106,108 @@ class TestChainKernel:
         assert out.shape == oracle.shape
         tol = 1e-12 if chain.dtype == np.float64 else 1e-6
         assert np.linalg.norm(out - oracle) <= tol * np.linalg.norm(oracle)
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), np.finfo(np.float64).tiny)
+
+
+class TestBatchSweep:
+    """The batch sweep against the dense path it replaces, called directly."""
+
+    @given(random_chains(max_cores=5, max_rank=8), st.integers(0, 64),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @example(SINGLE_CORE, 0, np.float64, 42)
+    @settings(deadline=None, max_examples=80)
+    def test_matches_dense_path(self, chain, batch, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, chain.shape.rows)).astype(dtype)
+        dy = rng.normal(size=(batch, chain.shape.cols)).astype(dtype)
+        y = _chain_forward(x, chain)
+        grads, dx = _chain_backward(x, dy, chain)
+        got = [y, dx, *grads.tensors]
+        # The dense path on the inputs as given sets the dtypes; run in
+        # float64 throughout, as the sweep is, it sets the values.
+        w = reconstruct(chain)
+        dtypes = [(x @ w).dtype, (dy @ w.T).dtype,
+                  *(g.dtype for g in chain_gradients(chain, x.T @ dy).tensors)]
+        x64, dy64 = x.astype(np.float64), dy.astype(np.float64)
+        chain64 = CoreChain.from_arrays([c.data.astype(np.float64) for c in chain.cores])
+        w64 = reconstruct(chain64)
+        dense = [x64 @ w64, dy64 @ w64.T, *chain_gradients(chain64, x64.T @ dy64).tensors]
+        assert [a.dtype for a in got] == dtypes
+        for a, ref in zip(got, dense):
+            assert a.shape == ref.shape
+            # An output rounded to float32 carries that rounding, and no more.
+            tol = 1e-12 if a.dtype == np.float64 else 1e-6
+            assert np.linalg.norm(a - ref) <= tol * np.linalg.norm(ref)
+
+    def test_matches_central_finite_differences(self):
+        chain = mpo_decompose(rand((12, 12), seed=50), MpoShape((2, 3, 2), (3, 2, 2)), 3)
+        x, dy = rand((4, 12), seed=51), rand((4, 12), seed=52)
+        grads, _ = _chain_backward(x, dy, chain)
+        h = 1e-6
+        for k, (g, core) in enumerate(zip(grads.tensors, chain.cores)):
+            numeric = np.zeros(core.shape)
+            for idx in np.ndindex(core.shape):
+                values = []
+                for step in (h, -h):
+                    arrays = [c.data.copy() for c in chain.cores]
+                    arrays[k][idx] += step
+                    values.append(np.sum(_chain_forward(x, CoreChain.from_arrays(arrays)) * dy))
+                numeric[idx] = (values[0] - values[1]) / (2 * h)
+            assert relative_gap(g, numeric) <= 1e-7
+
+    def test_reruns_are_bitwise_equal(self):
+        shape = MpoShape.square(SHAPE_PRESETS[1024])
+        chain = mpo_decompose(rand((shape.rows, shape.cols), seed=53), shape, 8)
+        x, dy = rand((32, shape.rows), seed=54), rand((32, shape.cols), seed=55)
+        first, again = _chain_backward(x, dy, chain), _chain_backward(x, dy, chain)
+        assert _chain_forward(x, chain).tobytes() == _chain_forward(x, chain).tobytes()
+        assert first[1].tobytes() == again[1].tobytes()
+        for a, b in zip(first[0].tensors, again[0].tensors):
+            assert a.tobytes() == b.tobytes()
+
+
+def zero_chain(factors, rank=8):
+    shape = MpoShape.square(factors)
+    return CoreChain.from_arrays(
+        [np.zeros(s) for s in shape.core_shapes(truncated_ranks(shape, rank))])
+
+
+class TestPathChoice:
+    """A multiply-add count of (batch, factors, ranks) picks the sweep or the
+    dense path."""
+
+    def test_small_layer_sweeps_only_tiny_batches(self):
+        chain = zero_chain((4, 4, 4))
+        assert _sweep_is_cheaper(chain, 1)
+        assert _sweep_is_cheaper(chain, 2)
+        assert not _sweep_is_cheaper(chain, 32)
+
+    @pytest.mark.parametrize("dim", [1024, 4096])
+    @pytest.mark.parametrize("batch", [1, 32, 1024])
+    def test_preset_layers_always_sweep(self, dim, batch):
+        assert _sweep_is_cheaper(zero_chain(SHAPE_PRESETS[dim]), batch)
+
+    @pytest.mark.parametrize("batch, sweeps", [(2, True), (32, False)])
+    def test_adapter_takes_the_chosen_path(self, monkeypatch, batch, sweeps):
+        adapter = dota_init(rand((64, 64), seed=56), MpoShape.square([4, 4, 4]), 8)
+        x, dy = rand((batch, 64), seed=57), rand((batch, 64), seed=58)
+        w = adapter.merge()
+        calls = []
+        for name in ("reconstruct", "chain_gradients"):
+            original = getattr(dota.adapter, name)
+            monkeypatch.setattr(dota.adapter, name,
+                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        y = adapter.forward(x)
+        grads, dx = adapter.backward(x, dy)
+        assert bool(calls) != sweeps
+        assert relative_gap(y, x @ w) <= 1e-12
+        assert relative_gap(dx, dy @ w.T) <= 1e-12
+        reference = chain_gradients(adapter.cores, x.T @ dy).tensors
+        for g, ref in zip(grads.tensors, reference):
+            assert relative_gap(g, ref) <= 1e-12
 
 
 def perturb_core(adapter, core_index, element, amount):

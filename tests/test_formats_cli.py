@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dota.quant
+import dota.tensor_core
 from dota import (
     FormatError,
     MpoShape,
@@ -118,6 +120,22 @@ class TestBundleFile:
         assert bundle.residual.block_size == 32
         assert bundle.residual.packed.tobytes() == q.packed.tobytes()
         assert bundle.residual.absmax.tobytes() == q.absmax.tobytes()
+
+    def test_payload_arrays_are_adopted_without_a_second_copy(self, tmp_path, monkeypatch):
+        w, chain = self.make_chain()
+        path = tmp_path / "b.dotc"
+        write_bundle(path, chain, quantize_nf4(w - reconstruct(chain), 32))
+        handed_over = []
+
+        def spy(a, _adopt=dota.tensor_core._as_readonly):
+            handed_over.append(a.flags.writeable)
+            return _adopt(a)
+
+        for module in (dota.tensor_core, dota.quant):
+            monkeypatch.setattr(module, "_as_readonly", spy)
+        read_bundle(path)
+        # two cores, the packed codes and the block scales, each already read-only
+        assert handed_over == [False] * 4
 
     def test_float32_payload(self, tmp_path):
         w, chain = self.make_chain(dtype=np.float32)

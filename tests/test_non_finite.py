@@ -1,6 +1,8 @@
 """Every public entry point that takes a matrix rejects NaN and +-inf with
 NumericError, and the CLI turns that into exit code 1."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -52,9 +54,13 @@ def _quantized_with_bad_block_scale(w, path):
 
 def _bundle_with_bad_block_scale(w, path):
     q = quantize_nf4(rand((16, 16)), 32)
-    # QuantizedMatrix refuses a non-finite scale, so it goes in after construction.
-    q.absmax[-1] = w.flat[w.size // 3]
-    write_bundle(path, _chain(), q)
+    scales = q.absmax.copy()
+    scales[-1] = w.flat[w.size // 3]
+    # QuantizedMatrix refuses a non-finite scale and its arrays are read-only,
+    # so the bad scales go into a copy that skips the constructor's checks.
+    bad = copy.copy(q)
+    object.__setattr__(bad, "absmax", scales)
+    write_bundle(path, _chain(), bad)
 
 
 # Each takes the poisoned matrix and a path to write to.

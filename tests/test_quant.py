@@ -19,9 +19,12 @@ from dota import (
     dequantize_nf4,
     derive_nf4_levels,
     dota_init,
+    mpo_decompose,
     nf4_codebook,
     qdota_init,
     quantize_nf4,
+    read_bundle,
+    write_bundle,
 )
 
 
@@ -141,6 +144,33 @@ class TestDequantize:
         q = quantize_nf4(w, 6)
         codes = q.codes()
         assert q.packed[0] == (codes[0] | (codes[1] << 4))
+
+
+class TestFrozenArrays:
+    @pytest.mark.parametrize("source", ["quantize_nf4", "read_bundle", "constructor"])
+    def test_codes_and_scales_are_read_only(self, tmp_path, source):
+        q = quantize_nf4(rand((8, 8), seed=8), 16)
+        if source == "read_bundle":
+            chain = mpo_decompose(rand((8, 8)), MpoShape.square([2, 4]), 2)
+            write_bundle(tmp_path / "b.dotc", chain, q)
+            q = read_bundle(tmp_path / "b.dotc").residual
+        elif source == "constructor":
+            q = QuantizedMatrix(q.packed.copy(), q.absmax.copy(), 16, 8, 8)
+        with pytest.raises(ValueError):
+            q.packed[0] = 0
+        with pytest.raises(ValueError):
+            q.absmax[0] = np.nan
+
+    def test_read_only_arrays_are_adopted_and_writeable_ones_copied(self):
+        q = quantize_nf4(rand((8, 8), seed=9), 16)
+        adopted = QuantizedMatrix(q.packed, q.absmax, 16, 8, 8)
+        assert adopted.packed is q.packed and adopted.absmax is q.absmax
+        packed, absmax = q.packed.copy(), q.absmax.copy()
+        copied = QuantizedMatrix(packed, absmax, 16, 8, 8)
+        assert not np.shares_memory(copied.packed, packed)
+        assert not np.shares_memory(copied.absmax, absmax)
+        assert copied.packed.tobytes() == packed.tobytes()
+        assert copied.absmax.tobytes() == absmax.tobytes()
 
 
 @pytest.mark.parametrize("init", [dota_init, qdota_init])
