@@ -73,7 +73,15 @@ def _sweep_states(chain: CoreChain, batch: int) -> tuple[list, list]:
 
 def _sweep_is_cheaper(chain: CoreChain, batch: int) -> bool:
     """Whether one batch sweep takes no more multiply-adds than the dense
-    path: x times the delta, the delta's addition and its reconstruction."""
+    path: x times the delta, the delta's addition and its reconstruction.
+
+    This forward count also decides the backward pass. There the sweep path
+    costs about three sweeps (x's, dy's and the gradient contractions) and
+    the dense path two batch products, the rebuild and chain_gradients, so
+    both sides grow about threefold and the crossover stays near the
+    forward one. Timed at (4, 4, 4) and (8, 8) with R=8, the backward
+    crossover falls at or just past the count's boundary and the forward
+    one later, so the count errs towards the dense path."""
     sizes = [c.size for c in chain.cores]
     sweep = sum(p * q * s for (p, _, q), s in zip(_sweep_states(chain, batch)[0], sizes))
     modes = [i * j for i, j in zip(chain.in_factors, chain.out_factors)]

@@ -195,13 +195,6 @@ def _header_field(header: dict, name: str, kind) -> object:
     return value
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A fresh array made read-only in place, so the immutable type that
-    takes it (a core or a quantized matrix) adopts it without a copy."""
-    a.flags.writeable = False
-    return a
-
-
 def read_bundle(path) -> Bundle:
     """Read and validate a bundle file in one pass over its bytes."""
     cursor = _Cursor(path, BUNDLE_MAGIC, _BUNDLE_HEADER)
@@ -229,16 +222,18 @@ def read_bundle(path) -> Bundle:
         if (rows, cols) != (shape.rows, shape.cols):
             raise FormatError(f"declared matrix {rows}x{cols} does not match factors "
                               f"{shape.rows}x{shape.cols}")
-        chain = CoreChain.from_arrays([
-            _frozen(cursor.array(dtype, math.prod(s), f"core {k}", finite=True)).reshape(s)
-            for k, s in enumerate(shape.core_shapes(ranks))])
+        cores = [cursor.array(dtype, math.prod(s), f"core {k}", finite=True).reshape(s)
+                 for k, s in enumerate(shape.core_shapes(ranks))]
+        for core in cores:
+            core.flags.writeable = False  # fresh, so the chain adopts it without a copy
+        chain = CoreChain.from_arrays(cores)
         residual = None
         if quantized:
             n_packed, n_blocks = QuantizedMatrix.layout(rows * cols, block_size)
             packed = cursor.array(np.dtype(np.uint8), n_packed, "packed codes")
             absmax = cursor.array(dtype, n_blocks, "block scales", finite=True)
-            residual = QuantizedMatrix(_frozen(packed), _frozen(absmax),
-                                       block_size, rows, cols, dtype)
+            packed.flags.writeable = absmax.flags.writeable = False  # fresh, so adopted without a copy
+            residual = QuantizedMatrix(packed, absmax, block_size, rows, cols, dtype)
         elif has_residual:
             residual = cursor.array(dtype, rows * cols, "residual", finite=True).reshape(rows, cols)
     except (ShapeError, ParameterError, RecursionError) as exc:

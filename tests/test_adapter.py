@@ -185,6 +185,13 @@ class TestPathChoice:
         assert _sweep_is_cheaper(chain, 2)
         assert not _sweep_is_cheaper(chain, 32)
 
+    def test_adding_the_delta_counts(self):
+        # (4, 4) at R=8, batch 3: 3072 sweep multiply-adds against 2944
+        # without the delta's 256-entry addition and 3200 with it.
+        chain = zero_chain((4, 4))
+        assert _sweep_is_cheaper(chain, 3)
+        assert not _sweep_is_cheaper(chain, 4)
+
     @pytest.mark.parametrize("dim", [1024, 4096])
     @pytest.mark.parametrize("batch", [1, 32, 1024])
     def test_preset_layers_always_sweep(self, dim, batch):
