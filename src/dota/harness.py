@@ -100,12 +100,12 @@ def make_task(
 ) -> SyntheticTask:
     """Draw w0 and build the low-tensor-rank target perturbation.
 
-    delta is the chain of the rank-``r_delta`` decomposition of w0 with its
+    delta is w0's rank-``r_delta`` chain (bond ranks at most r_delta) with the
     last core replaced by a Gaussian draw projected out of that core's row
-    space, then rescaled to ``delta_scale`` times ||w0||_F. The projection
-    keeps the update direction disjoint from what the truncated chain
-    already represents, and the chain construction bounds delta's bond
-    ranks by r_delta.
+    space, away from what the truncated chain holds, scaled to ``delta_scale``
+    times ||w0||_F. The sign of each vector kept at the last bond is LAPACK's
+    choice and reaches delta: flipping them all gives w0 - delta, under which
+    lora, full-ft and dota-random losses are symmetric but dota's are not.
     """
     _reject(
         r_delta=_count_problem(r_delta, 1),

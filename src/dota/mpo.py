@@ -206,13 +206,12 @@ def mpo_decompose(
 ) -> CoreChain:
     """Split W into a core chain by a left-to-right sweep of SVDs.
 
-    At step k the working matrix is reshaped to (r_{k-1} * I_k * J_k, -1)
-    and factored; the top r_k singular triples are kept, with r_k from
-    :func:`truncated_ranks`, U becomes core k, and the rest is carried
-    forward. Without a threshold every triple is kept and the chain
-    reconstructs W exactly.
-    The sweep runs in float64 regardless of input dtype; cores are cast
-    back at the end.
+    Step k reshapes the working matrix A to (r_{k-1} * I_k * J_k, -1), keeps
+    its top r_k left singular vectors U_r (r_k from :func:`truncated_ranks`)
+    as core k and carries U_r^T A = S_r V_r^T forward. A wide A takes U_r from
+    the small triangle R^T of A^T = QR, so neither Q nor V^T is ever formed.
+    Untruncated, the chain reconstructs W exactly. The sweep runs in float64;
+    cores are cast back at the end.
     """
     w = np.asarray(w)
     shape.check_matrix(w)
@@ -223,16 +222,17 @@ def mpo_decompose(
     if not w.any():
         return _zero_chain(shape, out_dtype)
 
-    interleaved, _ = reorder_for_mpo(w.astype(np.float64, copy=False), shape)
+    m = reorder_for_mpo(w.astype(np.float64, copy=False), shape)[0].data
     cores: list[np.ndarray] = []
-    m = interleaved.data
     for k, (r0, i, j, r1) in enumerate(sweep):
+        a = m.reshape(r0 * i * j, -1)
+        small = np.linalg.qr(a.T, mode="r").T if a.shape[0] < a.shape[1] else a
         try:
-            u, s, vt = np.linalg.svd(m.reshape(r0 * i * j, -1), full_matrices=False)
+            u = np.linalg.svd(small, full_matrices=False)[0][:, :r1]
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"SVD failed at core {k}: {exc}") from exc
-        cores.append(u[:, :r1].reshape(r0, i, j, r1))
-        m = s[:r1, None] * vt[:r1, :]
+        cores.append(u.reshape(r0, i, j, r1))
+        m = u.T @ a
     cores.append(m.reshape(last))
     return CoreChain.from_arrays([c.astype(out_dtype, copy=False) for c in cores])
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dota import (
@@ -8,8 +8,10 @@ from dota import (
     MpoShape,
     NumericError,
     ParameterError,
+    SHAPE_PRESETS,
     ShapeError,
     dota_init,
+    make_task,
     max_ranks,
     mpo_decompose,
     param_count,
@@ -35,6 +37,42 @@ def eckart_young_error(w, shape, rank):
     )
     s = np.linalg.svd(m, compute_uv=False)
     return float(np.sqrt((s[rank:] ** 2).sum()))
+
+
+def tt_svd(w, shape, rank):
+    """Reference TT-SVD (Oseledets 2011, Alg. 1): a full SVD of every
+    unfolding, carrying S_r V_r^T forward. Returns the cores, cast back to
+    the input's dtype, and each bond's singular values."""
+    *sweep, last = shape.core_shapes(truncated_ranks(shape, rank))
+    m = reorder_for_mpo(np.asarray(w, dtype=np.float64), shape)[0].data
+    cores, spectra = [], []
+    for r0, i, j, r1 in sweep:
+        u, s, vt = np.linalg.svd(m.reshape(r0 * i * j, -1), full_matrices=False)
+        cores.append(u[:, :r1].reshape(r0, i, j, r1))
+        spectra.append(s)
+        m = s[:r1, None] * vt[:r1, :]
+    cores.append(m.reshape(last))
+    return [c.astype(w.dtype) for c in cores], spectra
+
+
+def tol(dtype, f64):
+    """A float64 tolerance, or 1e-6 for float32 cores, which carry the cast's
+    rounding (about 6e-8 relative)."""
+    return f64 if dtype == np.float64 else 1e-6
+
+
+def unfolding_tail_energy(w, shape, rank):
+    """Sum over bonds of the energy W's own k-th unfolding has beyond the
+    bond's rank: the right-hand side of the TT-SVD bound (Oseledets 2011,
+    Thm 2.2)."""
+    t = reorder_for_mpo(np.asarray(w, dtype=np.float64), shape)[0].data
+    ranks = truncated_ranks(shape, rank)
+    total, rows = 0.0, 1
+    for k, (i, j) in enumerate(zip(shape.in_factors[:-1], shape.out_factors[:-1])):
+        rows *= i * j
+        s = np.linalg.svd(t.reshape(rows, -1), compute_uv=False)
+        total += float((s[ranks[k + 1]:] ** 2).sum())
+    return total
 
 
 class TestMpoShape:
@@ -194,6 +232,66 @@ class TestDecompose:
         rank = data.draw(st.one_of(st.none(), st.integers(1, 6)))
         w = rand((shape.rows, shape.cols), seed=data.draw(st.integers(0, 99)))
         assert mpo_decompose(w, shape, rank).ranks == truncated_ranks(shape, rank)
+
+
+class TestOracle:
+    """The sweep against the reference TT-SVD :func:`tt_svd`."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_reference_tt_svd(self, data):
+        n = data.draw(st.integers(1, 5))
+        factors = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+        shape = MpoShape(tuple(data.draw(factors)), tuple(data.draw(factors)))
+        rank = data.draw(st.one_of(st.none(), st.integers(1, 8)))
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        w = rand((shape.rows, shape.cols), seed=data.draw(st.integers(0, 99))).astype(dtype)
+        chain = mpo_decompose(w, shape, rank)
+
+        for core in chain.cores[:-1]:
+            c = core.data.astype(np.float64).reshape(-1, core.shape[3])
+            assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= tol(dtype, 1e-12)
+        err = reconstruction_error(w, chain)
+        norm2 = float(np.linalg.norm(w.astype(np.float64)) ** 2)
+        assert err ** 2 * norm2 <= unfolding_tail_energy(w, shape, rank) + tol(dtype, 1e-12) * norm2
+
+        want, spectra = tt_svd(w, shape, rank)
+        for s, r in zip(spectra, chain.ranks[1:]):
+            # every kept vector, and the kept span, is well determined
+            assume(np.all(-np.diff(s[:r + 1]) >= 1e-6 * s[0]))
+        flip = np.ones(1)  # the sign of each kept vector at the bond before the core
+        for core, ref in zip(chain.cores, want):
+            got = core.data.astype(np.float64) * flip[:, None, None, None]
+            flip = np.sign(np.einsum("aijb,aijb->b", got, ref))
+            assert np.linalg.norm(got * flip - ref) <= tol(dtype, 1e-10) * np.linalg.norm(ref)
+        assert flip.tolist() == [1.0]  # no sign left over on the chain as a whole
+        oracle_err = reconstruction_error(w, CoreChain.from_arrays(want))
+        assert abs(err - oracle_err) <= tol(dtype, 1e-12)
+
+    @pytest.mark.parametrize("factors, seed", [
+        ((4, 4, 4), 1), ((4, 4, 4), 2), ((4, 4, 4), 3), (SHAPE_PRESETS[1024], 1),
+    ])
+    def test_standard_tasks_keep_the_reference_signs(self, factors, seed):
+        # make_task's target, and with it the standard grid, depends on the
+        # sign of each kept vector, so these cores must match without flips
+        shape = MpoShape.square(factors)
+        w = make_task(shape, 8, 0.05, seed=seed).w0
+        chain = mpo_decompose(w, shape, 8)
+        for core, ref in zip(chain.cores, tt_svd(w, shape, 8)[0]):
+            assert np.linalg.norm(core.data - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e160])
+    @pytest.mark.parametrize("shape, rank", [
+        (MpoShape.square([4, 4, 4]), 8),
+        (MpoShape((2, 3, 4), (4, 3, 2)), None),
+    ])
+    def test_scale_moves_only_the_last_core(self, c, shape, rank):
+        w = rand((shape.rows, shape.cols), seed=16)
+        want = mpo_decompose(w, shape, rank).cores
+        got = mpo_decompose(c * w, shape, rank).cores  # a warning fails it (filterwarnings)
+        # compared core by core: a Frobenius norm of the scaled matrix overflows
+        for g, ref, scale in zip(got, want, [1.0] * (len(want) - 1) + [c]):
+            assert np.linalg.norm(g.data / scale - ref.data) <= 1e-12 * np.linalg.norm(ref.data)
 
 
 class TestReconstruct:
