@@ -23,15 +23,18 @@ Bundle file (``DOTC``)::
     cores      core payloads in chain order, row-major
     residual   raw matrix, or packed NF4 codes followed by block scales
 
-Readers make one pass over the bytes: each read checks that the file
-still holds it, and bytes left after the last read, like any
-header/payload mismatch, raise :class:`FormatError`.
+Readers make one forward pass over the open file, whose size they take
+from ``fstat``: each read checks that the file still holds its bytes before
+anything is allocated, and reads a payload straight into its array. Bytes
+left after the last read, like any header/payload mismatch, raise
+:class:`FormatError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -67,41 +70,42 @@ def _le(dtype: np.dtype) -> np.dtype:
 
 
 class _Cursor:
-    """One forward pass over a file's bytes. The constructor checks the
-    magic and version, every read checks that the file still holds the
-    bytes it takes, and :meth:`close` rejects bytes left over."""
+    """One forward pass over an open file. The constructor checks the magic
+    and version, every read checks that the file still holds the bytes it
+    takes before reading them, and :meth:`end` rejects bytes left over."""
 
-    def __init__(self, path, magic: bytes, header: struct.Struct):
-        with open(path, "rb") as fh:
-            self.blob = fh.read()
-        self.offset = 0
-        start = self.take(header.size, f"{magic.decode()} header")
-        found, version, *self.fields = header.unpack_from(self.blob, start)
+    def __init__(self, fh, magic: bytes, header: struct.Struct):
+        self.fh, self.left = fh, os.fstat(fh.fileno()).st_size
+        raw = self.read(header.size, f"{magic.decode()} header")
+        found, version, *self.fields = header.unpack(raw)
         if found != magic:
             raise FormatError(f"bad magic {found!r} (expected {magic!r})")
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported version {version}")
 
-    def take(self, n: int, what: str) -> int:
-        """Offset of the next ``n`` bytes, which count as read from now on."""
-        start, left = self.offset, len(self.blob) - self.offset
-        if n > left:
-            raise FormatError(f"file too short: the {what} needs {n} bytes, {left} are left")
-        self.offset += n
-        return start
+    def read(self, n: int, what: str) -> bytes:
+        """The next ``n`` bytes."""
+        return self.array(np.dtype(np.uint8), n, what).tobytes()
 
     def array(self, dtype: np.dtype, count: int, what: str, finite: bool = False) -> np.ndarray:
-        """The next ``count`` little-endian values, copied into a fresh array."""
-        offset = self.take(count * dtype.itemsize, what)
-        a = np.frombuffer(self.blob, dtype=_le(dtype), count=count, offset=offset)
-        a = a.astype(dtype, copy=True)
+        """The next ``count`` little-endian values, read into a fresh array
+        once the file is known to hold them."""
+        n = count * dtype.itemsize
+        if n > self.left:
+            raise FormatError(f"file too short: the {what} needs {n} bytes, {self.left} are left")
+        self.left -= n
+        a = np.empty(count, dtype=_le(dtype))
+        got = self.fh.readinto(a)
+        if got != n:  # the file shrank after fstat
+            raise FormatError(f"file too short: the {what} needs {n} bytes, {got} are left")
+        a = a.astype(dtype, copy=False)  # a no-op on a little-endian host
         if finite and not np.isfinite(a).all():
             raise FormatError(f"{what} contains non-finite values")
         return a
 
-    def close(self) -> None:
-        if self.offset != len(self.blob):
-            raise FormatError(f"{len(self.blob) - self.offset} bytes follow the last payload")
+    def end(self) -> None:
+        if self.left:
+            raise FormatError(f"{self.left} bytes follow the last payload")
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
@@ -117,14 +121,15 @@ def write_matrix(path, matrix: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file, validating magic, version, and payload length."""
-    cursor = _Cursor(path, MATRIX_MAGIC, _MATRIX_HEADER)
-    dtype_code, rows, cols = cursor.fields
-    if dtype_code >= len(_DTYPES):
-        raise FormatError(f"unknown dtype code {dtype_code}")
-    if rows < 1 or cols < 1:
-        raise FormatError(f"bad dimensions {rows}x{cols}")
-    matrix = cursor.array(_DTYPES[dtype_code][1], rows * cols, "payload").reshape(rows, cols)
-    cursor.close()
+    with open(path, "rb") as fh:
+        cursor = _Cursor(fh, MATRIX_MAGIC, _MATRIX_HEADER)
+        dtype_code, rows, cols = cursor.fields
+        if dtype_code >= len(_DTYPES):
+            raise FormatError(f"unknown dtype code {dtype_code}")
+        if rows < 1 or cols < 1:
+            raise FormatError(f"bad dimensions {rows}x{cols}")
+        matrix = cursor.array(_DTYPES[dtype_code][1], rows * cols, "payload").reshape(rows, cols)
+        cursor.end()
     return matrix
 
 
@@ -197,11 +202,14 @@ def _header_field(header: dict, name: str, kind) -> object:
 
 def read_bundle(path) -> Bundle:
     """Read and validate a bundle file in one pass over its bytes."""
-    cursor = _Cursor(path, BUNDLE_MAGIC, _BUNDLE_HEADER)
+    with open(path, "rb") as fh:
+        return _read_bundle(_Cursor(fh, BUNDLE_MAGIC, _BUNDLE_HEADER))
+
+
+def _read_bundle(cursor: _Cursor) -> Bundle:
     (header_len,) = cursor.fields
-    start = cursor.take(header_len, "declared header")
     try:
-        header = json.loads(cursor.blob[start : start + header_len])
+        header = json.loads(cursor.read(header_len, "declared header"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"bundle header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -238,5 +246,5 @@ def read_bundle(path) -> Bundle:
             residual = cursor.array(dtype, rows * cols, "residual", finite=True).reshape(rows, cols)
     except (ShapeError, ParameterError, RecursionError) as exc:
         raise FormatError(f"inconsistent bundle: {exc}") from exc
-    cursor.close()
+    cursor.end()
     return Bundle(chain=chain, residual=residual)

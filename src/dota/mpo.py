@@ -199,6 +199,20 @@ def _zero_chain(shape: MpoShape, dtype) -> CoreChain:
     return CoreChain.from_arrays([np.zeros(s, dtype=dtype) for s in shape.core_shapes(ones)])
 
 
+# Columns of a wide unfolding per block QR: a 16-row block's transpose is 256 KB.
+_QR_BLOCK = 2048
+
+
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """The triangle R of A^T = QR for a wide A, by TSQR (Demmel et al.,
+    arXiv:0808.2664): one QR per block of at most ``_QR_BLOCK`` columns of A,
+    whose small transposed slab stays in cache, then one QR of the stacked
+    triangles. R^T R = A A^T either way; only the signs of R's rows may
+    differ from a single QR. A at most one block wide takes one QR."""
+    rs = [np.linalg.qr(a[:, s:s + _QR_BLOCK].T, mode="r") for s in range(0, a.shape[1], _QR_BLOCK)]
+    return rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
+
+
 def mpo_decompose(
     w: np.ndarray,
     shape: MpoShape,
@@ -210,6 +224,7 @@ def mpo_decompose(
     its top r_k left singular vectors U_r (r_k from :func:`truncated_ranks`)
     as core k and carries U_r^T A = S_r V_r^T forward. A wide A takes U_r from
     the small triangle R^T of A^T = QR, so neither Q nor V^T is ever formed.
+    R comes from :func:`_r_factor`, blockwise for A wider than one block.
     Untruncated, the chain reconstructs W exactly. The sweep runs in float64;
     cores are cast back at the end.
     """
@@ -226,7 +241,7 @@ def mpo_decompose(
     cores: list[np.ndarray] = []
     for k, (r0, i, j, r1) in enumerate(sweep):
         a = m.reshape(r0 * i * j, -1)
-        small = np.linalg.qr(a.T, mode="r").T if a.shape[0] < a.shape[1] else a
+        small = _r_factor(a).T if a.shape[0] < a.shape[1] else a
         try:
             u = np.linalg.svd(small, full_matrices=False)[0][:, :r1]
         except np.linalg.LinAlgError as exc:

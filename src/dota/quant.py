@@ -5,6 +5,12 @@ standard normal, with an exact zero and both endpoints normalized to +-1.
 Quantization is absmax-blockwise: each block of consecutive row-major
 elements is scaled into [-1, 1] by its largest magnitude and each element
 is rounded to the nearest level. Codes are packed two per byte.
+
+Both directions work on chunks of whole blocks, about 256 KB of float64
+each and always an even element count, so each chunk packs into whole
+bytes and its float64 temporaries stay in a 2 MB L2 cache. Only the last
+partial block is padded. Codes, scales and decodes are the same, bit for
+bit, as those of one pass over the whole matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +27,12 @@ from .adapter import DotaAdapter, chain_gradients
 from .tensor_core import _as_readonly
 
 DEFAULT_BLOCK_SIZE = 64
+
+# Elements per codec chunk, rounded down to an even number of whole blocks.
+# On a 4096 layer (2 MB L2, one thread) quantize_nf4 took 88 ms at 2^15, 105-140 ms at 2^17.
+_CHUNK = 1 << 15
+# Encode-table bins per unit: [-1, 1] is covered by 2 * _BINS + 1 bins.
+_BINS = 4096
 
 # Frozen output of derive_nf4_levels(); regenerated and checked in the tests.
 NF4_LEVELS: tuple[float, ...] = (
@@ -75,6 +87,16 @@ class NF4Codebook:
         if lv[0] != -1.0 or lv[-1] != 1.0 or 0.0 not in lv:
             raise ParameterError("levels must span [-1, 1] and contain 0")
         object.__setattr__(self, "levels", lv)
+        # The encode table: per bin, how many midpoints lie in lower bins, and
+        # the midpoint in the bin itself (2.0, above every value, if none).
+        midpoints = (np.array(lv[:-1]) + np.array(lv[1:])) / 2.0
+        bins = _bin(midpoints)
+        if np.any(bins[1:] == bins[:-1]):
+            raise ParameterError(f"levels must leave at most one midpoint per 1/{_BINS} bin")
+        thr = np.full(2 * _BINS + 1, 2.0)
+        thr[bins] = midpoints
+        below = np.searchsorted(bins, np.arange(thr.size)).astype(np.uint8)
+        object.__setattr__(self, "_table", (below, thr))
 
     @property
     def zero_code(self) -> int:
@@ -85,13 +107,36 @@ class NF4Codebook:
         return max(b - a for a, b in zip(self.levels, self.levels[1:]))
 
     def encode(self, normalized: np.ndarray) -> np.ndarray:
-        """Nearest-level code for values in [-1, 1]; ties go to the lower code."""
-        lv = np.asarray(self.levels)
-        midpoints = (lv[:-1] + lv[1:]) / 2.0
-        return np.searchsorted(midpoints, normalized, side="left").astype(np.uint8)
+        """Nearest-level code for values in [-1, 1]; ties go to the lower code.
+        Values beyond +-1 take the end codes.
+
+        The code is the number of level midpoints below x, read from a table
+        built with the codebook: with b = floor((x + 1) * 4096), it is
+        ``below[b] + (x > thr[b])``, where ``below[b]`` counts the midpoints in
+        lower bins and ``thr[b]`` is the one midpoint in bin b. This is exact
+        whatever the rounding of x + 1, because b is computed by the same
+        monotone rounding for x as for every midpoint: a midpoint in a lower
+        bin lies below x, one in a higher bin above it, and the one in x's own
+        bin is compared exactly. (No NF4 midpoint lies within 0.0195 bins of
+        a bin edge anyway.)
+        """
+        return self._encode(np.clip(np.asarray(normalized, dtype=np.float64), -1.0, 1.0))
+
+    def _encode(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`encode` of float64 values already in [-1, 1]."""
+        below, thr = self._table
+        b = _bin(x)
+        return below[b] + (x > thr[b])
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         return np.asarray(self.levels)[codes]
+
+
+def _bin(x: np.ndarray) -> np.ndarray:
+    """The encode-table bin floor((x + 1) * _BINS) of values in [-1, 1]."""
+    t = x + 1.0
+    t *= _BINS
+    return t.astype(np.intp)
 
 
 def nf4_codebook() -> NF4Codebook:
@@ -103,6 +148,15 @@ def _pack_codes(codes: np.ndarray) -> np.ndarray:
     if codes.size % 2:
         codes = np.concatenate([codes, np.zeros(1, dtype=np.uint8)])
     return (codes[0::2] | (codes[1::2] << 4)).astype(np.uint8)
+
+
+def _chunks(n_elements: int, block_size: int):
+    """(first block, first element, end element) of each codec chunk: an
+    even number of whole blocks, except that the last chunk ends at the last
+    element, so every chunk but the last has an even element count."""
+    step = 2 * max(1, _CHUNK // (2 * block_size)) * block_size
+    for start in range(0, n_elements, step):
+        yield start // block_size, start, min(start + step, n_elements)
 
 
 def _unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
@@ -168,24 +222,26 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
     w = np.asarray(w)
     if w.ndim != 2:
         raise ShapeError(f"expected a matrix, got order-{w.ndim} input")
-    _, n_blocks = QuantizedMatrix.layout(w.size, block_size)
-    if not np.all(np.isfinite(w)):
-        raise NumericError("matrix contains non-finite entries")
+    n_packed, n_blocks = QuantizedMatrix.layout(w.size, block_size)
     book = nf4_codebook()
     dtype = w.dtype if w.dtype.type in (np.float32, np.float64) else np.dtype(np.float64)
 
-    flat = w.astype(np.float64, copy=False).reshape(-1)
-    n = flat.size
-    padded = np.zeros(n_blocks * block_size)
-    padded[:n] = flat
-    blocks = padded.reshape(n_blocks, block_size)
+    flat = w.reshape(-1)
+    packed, scales = np.empty(n_packed, dtype=np.uint8), np.empty(n_blocks)
+    for b0, e0, e1 in _chunks(flat.size, block_size):
+        # A fresh float64 copy of whole blocks: the last partial block is zero-padded.
+        blocks = np.zeros(-(-(e1 - e0) // block_size) * block_size)
+        blocks[: e1 - e0] = flat[e0:e1]
+        blocks = blocks.reshape(-1, block_size)
+        s = np.abs(blocks).max(axis=1)
+        if not np.isfinite(s).all():
+            raise NumericError("matrix contains non-finite entries")
+        scales[b0 : b0 + s.size] = s
+        # An all-zero block divides by 1 instead of 0; its zeros encode to the zero code.
+        blocks /= np.where(s == 0.0, 1.0, s)[:, None]
+        packed[e0 // 2 : (e1 + 1) // 2] = _pack_codes(book._encode(blocks).reshape(-1)[: e1 - e0])
 
-    scales = np.abs(blocks).max(axis=1)
-    # An all-zero block divides by 1 instead of 0; its zeros encode to the zero code.
-    safe = np.where(scales == 0.0, 1.0, scales)
-    codes = book.encode(blocks / safe[:, None])
-
-    packed, absmax = _pack_codes(codes.reshape(-1)[:n]), scales.astype(dtype)
+    absmax = scales.astype(dtype, copy=False)
     packed.flags.writeable = absmax.flags.writeable = False  # fresh, so adopted without a copy
     return QuantizedMatrix(
         packed=packed,
@@ -198,12 +254,21 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
 
 
 def dequantize_nf4(q: QuantizedMatrix) -> np.ndarray:
-    """Decode every element as codebook[code] * block scale."""
-    book = nf4_codebook()
-    values = book.decode(q.codes())
-    scales = np.repeat(q.absmax.astype(np.float64), q.block_size)[: q.n_elements]
-    out = (values * scales).reshape(q.rows, q.cols)
-    return out.astype(q.dtype, copy=False)
+    """Decode every element as codebook[code] * block scale, chunk by chunk
+    straight into the output: one gather from a table of both codes of each
+    byte value, then one multiply by the block scales, in float64."""
+    byte = np.arange(256)
+    pairs = nf4_codebook().decode(np.stack([byte & 0x0F, byte >> 4], axis=1))
+    scales = q.absmax.astype(np.float64, copy=False)
+    bs, out = q.block_size, np.empty(q.n_elements, dtype=q.dtype)
+    for b0, e0, e1 in _chunks(q.n_elements, bs):
+        values = np.take(pairs, q.packed[e0 // 2 : (e1 + 1) // 2], axis=0).reshape(-1)[: e1 - e0]
+        full = (e1 - e0) // bs * bs  # the rest is the last, partial block
+        np.multiply(values[:full].reshape(-1, bs), scales[b0 : b0 + full // bs, None],
+                    out=out[e0 : e0 + full].reshape(-1, bs))
+        np.multiply(values[full:], scales[b0 + full // bs : b0 + full // bs + 1],
+                    out=out[e0 + full : e1])
+    return out.reshape(q.rows, q.cols)
 
 
 class QdotaAdapter(DotaAdapter):

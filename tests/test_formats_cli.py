@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,34 @@ class TestMatrixFile:
     def test_rejects_non_float(self, tmp_path):
         with pytest.raises(FormatError):
             write_matrix(tmp_path / "m.dotm", np.zeros((2, 2), dtype=np.int32))
+
+    def test_oversized_header_raises_before_allocating(self, tmp_path):
+        path = tmp_path / "m.dotm"
+        write_matrix(path, rand((2, 2)))
+        blob = bytearray(path.read_bytes())
+        blob[6:14] = (2**32 - 1).to_bytes(4, "little") * 2  # rows and cols
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="file too short"):
+                read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_payload_is_read_straight_into_the_matrix(self, tmp_path):
+        path = tmp_path / "m.dotm"
+        m = rand((256, 512), seed=3)  # 1 MB
+        write_matrix(path, m)
+        tracemalloc.start()
+        try:
+            back = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == m.tobytes()
+        assert peak < 1.25 * m.nbytes  # no second copy of the payload
 
 
 class TestBundleFile:

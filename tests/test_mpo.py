@@ -21,6 +21,10 @@ from dota import (
     reorder_for_mpo,
     truncated_ranks,
 )
+from dota.mpo import _QR_BLOCK, _r_factor
+
+# Its first unfolding is 4 x 9600: four whole QR blocks of 2048 columns and 1408 more.
+WIDE = MpoShape((2, 96), (2, 100))
 
 
 def rand(shape, seed=0):
@@ -269,12 +273,12 @@ class TestOracle:
         assert abs(err - oracle_err) <= tol(dtype, 1e-12)
 
     @pytest.mark.parametrize("factors, seed", [
-        ((4, 4, 4), 1), ((4, 4, 4), 2), ((4, 4, 4), 3), (SHAPE_PRESETS[1024], 1),
+        ((4, 4, 4), 1), ((4, 4, 4), 2), ((4, 4, 4), 3), (SHAPE_PRESETS[1024], 1), (WIDE, 1),
     ])
     def test_standard_tasks_keep_the_reference_signs(self, factors, seed):
         # make_task's target, and with it the standard grid, depends on the
         # sign of each kept vector, so these cores must match without flips
-        shape = MpoShape.square(factors)
+        shape = factors if isinstance(factors, MpoShape) else MpoShape.square(factors)
         w = make_task(shape, 8, 0.05, seed=seed).w0
         chain = mpo_decompose(w, shape, 8)
         for core, ref in zip(chain.cores, tt_svd(w, shape, 8)[0]):
@@ -284,6 +288,7 @@ class TestOracle:
     @pytest.mark.parametrize("shape, rank", [
         (MpoShape.square([4, 4, 4]), 8),
         (MpoShape((2, 3, 4), (4, 3, 2)), None),
+        (WIDE, None),
     ])
     def test_scale_moves_only_the_last_core(self, c, shape, rank):
         w = rand((shape.rows, shape.cols), seed=16)
@@ -292,6 +297,30 @@ class TestOracle:
         # compared core by core: a Frobenius norm of the scaled matrix overflows
         for g, ref, scale in zip(got, want, [1.0] * (len(want) - 1) + [c]):
             assert np.linalg.norm(g.data / scale - ref.data) <= 1e-12 * np.linalg.norm(ref.data)
+
+
+class TestBlockedQr:
+    """The R factor of a wide unfolding, one QR per block of columns."""
+
+    def test_one_block_takes_a_single_qr(self):
+        a = rand((16, _QR_BLOCK), seed=17)
+        assert _r_factor(a).tobytes() == np.linalg.qr(a.T, mode="r").tobytes()
+
+    def test_blocks_give_the_gram_matrix_of_a_single_qr(self):
+        a = rand((4, 4 * _QR_BLOCK + 1408), seed=18)
+        r = _r_factor(a)
+        assert r.shape == (4, 4)
+        assert np.abs(r.T @ r - a @ a.T).max() <= 1e-12 * np.abs(a @ a.T).max()
+
+    def test_rank_one_unfolding_is_exact_with_orthonormal_cores(self):
+        # kron(A, B) unfolds to vec(A) vec(B)^T, so the stacked triangles are
+        # singular and three of the four kept vectors are LAPACK's choice.
+        w = np.kron(rand((2, 2), seed=19), rand((96, 100), seed=20))
+        chain = mpo_decompose(w, WIDE)
+        assert chain.ranks == (1, 4, 1)
+        c = chain.cores[0].data.reshape(-1, 4)
+        assert np.abs(c.T @ c - np.eye(4)).max() <= 1e-12
+        assert reconstruction_error(w, chain) <= 1e-12
 
 
 class TestReconstruct:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dota import (
     CoreGradients,
     DotaAdapter,
     MpoShape,
+    NF4Codebook,
     NF4_LEVELS,
     NumericError,
     ParameterError,
@@ -26,10 +27,40 @@ from dota import (
     read_bundle,
     write_bundle,
 )
+from dota.quant import _BINS, _CHUNK
 
 
 def rand(shape, seed=0, scale=0.02):
     return np.random.default_rng(seed).normal(0, scale, size=shape)
+
+
+def reference_quantize(w, block_size):
+    """The one-shot codec: a zero-padded float64 copy of the whole matrix,
+    one scale per block, and a searchsorted over the level midpoints."""
+    levels = np.array(NF4_LEVELS)
+    midpoints = (levels[:-1] + levels[1:]) / 2.0
+    flat = w.astype(np.float64).reshape(-1)
+    n_blocks = -(-flat.size // block_size)
+    padded = np.zeros(n_blocks * block_size)
+    padded[: flat.size] = flat
+    blocks = padded.reshape(n_blocks, block_size)
+    scales = np.abs(blocks).max(axis=1)
+    safe = np.where(scales == 0.0, 1.0, scales)
+    codes = np.searchsorted(midpoints, blocks / safe[:, None], side="left").astype(np.uint8)
+    codes = codes.reshape(-1)[: flat.size]
+    if codes.size % 2:
+        codes = np.append(codes, np.uint8(0))
+    return (codes[0::2] | (codes[1::2] << 4)).astype(np.uint8), scales.astype(w.dtype)
+
+
+def reference_dequantize(packed, absmax, block_size, shape):
+    """The one-shot decode: unpack, gather, and multiply by the block
+    scales repeated to full size, in float64."""
+    n = shape[0] * shape[1]
+    codes = np.empty(packed.size * 2, dtype=np.uint8)
+    codes[0::2], codes[1::2] = packed & 0x0F, packed >> 4
+    scales = np.repeat(absmax.astype(np.float64), block_size)[:n]
+    return (np.array(NF4_LEVELS)[codes[:n]] * scales).reshape(shape).astype(absmax.dtype)
 
 
 class TestCodebook:
@@ -55,6 +86,47 @@ class TestCodebook:
         mid = (book.levels[3] + book.levels[4]) / 2.0
         codes = book.encode(np.array([mid]))
         assert codes[0] == 3
+
+    def test_encode_matches_searchsorted_on_adversarial_values(self):
+        book = nf4_codebook()
+        levels = np.array(book.levels)
+        midpoints = (levels[:-1] + levels[1:]) / 2.0
+        edges = np.arange(2 * _BINS + 1) / _BINS - 1.0  # every table bin's lower edge
+        near = np.concatenate([midpoints, levels, edges])
+        x = np.concatenate([near, np.nextafter(near, 2.0), np.nextafter(near, -2.0),
+                            [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]])
+        x = x[np.abs(x) <= 1.0]
+        for values in (x, x.astype(np.float32)):
+            want = np.searchsorted(midpoints, values.astype(np.float64), side="left")
+            got = book.encode(values)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50))
+    @settings(deadline=None, max_examples=100)
+    def test_encode_matches_searchsorted(self, values):
+        book = nf4_codebook()
+        levels = np.array(book.levels)
+        x = np.array(values)
+        want = np.searchsorted((levels[:-1] + levels[1:]) / 2.0, x, side="left")
+        assert np.array_equal(book.encode(x), want)
+
+    def test_values_beyond_one_take_the_end_codes(self):
+        codes = nf4_codebook().encode(np.array([-np.inf, -1e300, -1.5, 1.5, 1e300, np.inf]))
+        assert codes.tolist() == [0, 0, 0, 15, 15, 15]
+
+    def test_midpoints_sit_well_inside_their_table_bins(self):
+        # The table lookup is exact regardless; the margin shows that a value
+        # rounded by far more than float64's x + 1 would still get its code.
+        levels = np.array(NF4_LEVELS)
+        position = ((levels[:-1] + levels[1:]) / 2.0 + 1.0) * _BINS
+        assert np.abs(position - np.round(position)).min() >= 1e-3
+
+    def test_levels_too_close_for_the_table_are_rejected(self):
+        levels = list(NF4_LEVELS)
+        levels[8], levels[9] = 1e-5, 2e-5  # midpoints 5e-6 and 1.5e-5 share a bin
+        with pytest.raises(ParameterError):
+            NF4Codebook(tuple(levels))
 
 
 class TestQuantize:
@@ -116,6 +188,34 @@ class TestQuantize:
         a, b = quantize_nf4(w, 16), quantize_nf4(w, 16)
         assert np.array_equal(a.packed, b.packed)
         assert np.array_equal(a.absmax, b.absmax)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_chunked_codec_matches_one_shot_reference(self, data):
+        block_size = data.draw(st.sampled_from([1, 3, 64, 100, _CHUNK + 5]), label="block_size")
+        # Chunks hold an even number of whole blocks; sizes land on, just
+        # before and just after the first chunk boundaries, odd counts included.
+        step = 2 * max(1, _CHUNK // (2 * block_size)) * block_size
+        n = data.draw(st.integers(0, 2), label="chunks") * step + data.draw(
+            st.integers(-2 * block_size - 1, 2 * block_size + 1), label="offset")
+        assume(n >= 1)
+        shape = data.draw(st.sampled_from([(1, n), (n, 1)]), label="shape")
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
+        flat = rng.normal(0, 10.0 ** rng.integers(-3, 3), size=n)
+        n_blocks = -(-n // block_size)
+        for b in rng.choice(n_blocks, size=min(n_blocks, 3), replace=False):
+            flat[b * block_size : (b + 1) * block_size] = 0.0  # all-zero blocks
+        w = flat.reshape(shape).astype(dtype)
+
+        q = quantize_nf4(w, block_size)
+        packed, absmax = reference_quantize(w, block_size)
+        assert q.packed.tobytes() == packed.tobytes()
+        assert q.absmax.dtype == absmax.dtype and q.absmax.tobytes() == absmax.tobytes()
+        back = dequantize_nf4(q)
+        want = reference_dequantize(packed, absmax, block_size, shape)
+        assert back.dtype == want.dtype and back.shape == want.shape
+        assert back.tobytes() == want.tobytes()
 
 
 class TestDequantize:
