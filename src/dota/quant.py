@@ -159,13 +159,9 @@ def _chunks(n_elements: int, block_size: int):
         yield start // block_size, start, min(start + step, n_elements)
 
 
-def _unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
-    low = packed & 0x0F
-    high = packed >> 4
-    out = np.empty(packed.size * 2, dtype=np.uint8)
-    out[0::2] = low
-    out[1::2] = high
-    return out[:n]
+def _nibbles(packed: np.ndarray) -> np.ndarray:
+    """The two codes of each byte along a new last axis, low nibble first."""
+    return np.stack([packed & 0x0F, packed >> 4], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +210,7 @@ class QuantizedMatrix:
 
     def codes(self) -> np.ndarray:
         """Unpacked 4-bit codes, one uint8 per matrix element."""
-        return _unpack_codes(self.packed, self.n_elements)
+        return _nibbles(self.packed).reshape(-1)[: self.n_elements]
 
 
 def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedMatrix:
@@ -257,8 +253,7 @@ def dequantize_nf4(q: QuantizedMatrix) -> np.ndarray:
     """Decode every element as codebook[code] * block scale, chunk by chunk
     straight into the output: one gather from a table of both codes of each
     byte value, then one multiply by the block scales, in float64."""
-    byte = np.arange(256)
-    pairs = nf4_codebook().decode(np.stack([byte & 0x0F, byte >> 4], axis=1))
+    pairs = nf4_codebook().decode(_nibbles(np.arange(256, dtype=np.uint8)))
     scales = q.absmax.astype(np.float64, copy=False)
     bs, out = q.block_size, np.empty(q.n_elements, dtype=q.dtype)
     for b0, e0, e1 in _chunks(q.n_elements, bs):
