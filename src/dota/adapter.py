@@ -18,13 +18,14 @@ from x^T dy through :func:`chain_gradients`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 from .mpo import CoreChain, MpoShape, _left_sweep, mpo_decompose, reconstruct, reorder_for_mpo
 from .tensor_core import DenseTensor, _as_readonly
 
@@ -193,8 +194,11 @@ class DotaAdapter:
 
     def apply_gradients(self, grads: CoreGradients, lr: float) -> None:
         """One plain gradient-descent step on the cores; the residual is untouched.
-        A non-finite rate or gradient entry raises before any core changes."""
+        A rate that is not a real number raises ParameterError, and a non-finite
+        rate or gradient entry NumericError, before any core changes."""
         grads.check_against(self.cores)
+        if not isinstance(lr, numbers.Real) or isinstance(lr, bool):
+            raise ParameterError(f"learning rate must be a real number, got {lr!r}")
         if not (np.isfinite(lr) and all(np.isfinite(g).all() for g in grads.tensors)):
             raise NumericError("non-finite learning rate or gradient entry")
         self.cores = CoreChain(tuple(

@@ -90,12 +90,12 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     bundle = read_bundle(args.bundle)
-    merged = reconstruct(bundle.chain)
+    merged = reconstruct(bundle.chain)  # a fresh array, so the residual adds in place
     if bundle.residual is not None:
         if bundle.residual_quantized:
-            merged = merged + dequantize_nf4(bundle.residual)
+            merged += dequantize_nf4(bundle.residual)
         else:
-            merged = merged + bundle.residual
+            merged += bundle.residual
     write_matrix(args.out, merged)
     _emit(
         {

@@ -291,55 +291,41 @@ def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
     batch every ``eval_every`` steps (plus step 0 and the final step).
 
     The batch stream is a function of (task seed, step index) only, so all
-    methods on the same task see identical data. A non-finite loss aborts
-    the run; the partial log is returned with ``diverged`` set. Every method
-    takes the same step: the dense weight gradient x^T dy of the mean squared
-    error at its effective weight goes to its ``gradient_step``.
+    methods on the same task see identical data. Every method takes the same
+    step: the dense weight gradient x^T dy of the mean squared error at its
+    effective weight goes to its ``gradient_step``. The ``train_loss`` logged
+    at step t is the loss of the weight after t steps on the batch that step
+    t + 1 trains on. A non-finite loss aborts the run and returns the partial
+    log with ``diverged`` set; ``diverged_at`` is t if step t is logged, else
+    t + 1, the step that would have trained on that loss.
     """
     state = _init_method(task, method, hyper)
     batch_shape = (task.batch_size, task.shape.rows)
     x_eval = _rng(task.seed, _STREAM_EVAL).standard_normal(batch_shape)
     y_eval = x_eval @ task.w_star
-
-    def batch(t: int) -> np.ndarray:
-        return _rng(task.seed, _STREAM_BATCH, t).standard_normal(batch_shape)
-
     log = TrainLog(
         method=method,
         seed=task.seed,
         hyper=asdict(hyper),
         trainable_params=state.trainable_params,
     )
-
-    def record(step: int) -> bool:
+    for t in range(hyper.steps + 1):
+        xb = _rng(task.seed, _STREAM_BATCH, t + 1).standard_normal(batch_shape)
+        logged = t % hyper.eval_every == 0 or t == hyper.steps
         with np.errstate(over="ignore", invalid="ignore"):
             w = state.effective_weight()
-            ev = float(np.mean((x_eval @ w - y_eval) ** 2))
-            xb = batch(step + 1)
-            tr = float(np.mean((xb @ w - xb @ task.w_star) ** 2))
-        if not (math.isfinite(ev) and math.isfinite(tr)):
-            log.diverged = True
-            log.diverged_at = step
-            return False
-        log.records.append((step, tr, ev))
-        return True
-
-    if not record(0):
-        return log
-    for t in range(1, hyper.steps + 1):
-        xb = batch(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = xb @ state.effective_weight() - xb @ task.w_star
+            ev = float(np.mean((x_eval @ w - y_eval) ** 2)) if logged else 0.0
+            err = xb @ w - xb @ task.w_star
             loss = float(np.mean(err**2))
-            if math.isfinite(loss):
+            finite = math.isfinite(ev) and math.isfinite(loss)
+            if finite and t < hyper.steps:
                 state.gradient_step(xb.T @ (2.0 * err / err.size), hyper.lr)
-        if not math.isfinite(loss):
+        if not finite:
             log.diverged = True
-            log.diverged_at = t
+            log.diverged_at = t if logged else t + 1
             break
-        if t % hyper.eval_every == 0 or t == hyper.steps:
-            if not record(t):
-                break
+        if logged:
+            log.records.append((t, loss, ev))
     return log
 
 
@@ -447,31 +433,20 @@ def ablate(config: AblationConfig) -> tuple[list[TrainLog], list[tuple[int, str,
 
 def summarize(logs: Sequence[TrainLog]) -> list[tuple[int, str, float, float]]:
     """Per-method mean/std of eval loss at every step present in all seeds."""
-    rows: list[tuple[int, str, float, float]] = []
-    methods = []
+    evals: dict[str, list[dict[int, float]]] = {}
     for log in logs:
-        if log.method not in methods:
-            methods.append(log.method)
-    for method in methods:
-        group = [log for log in logs if log.method == method]
-        common = set(group[0].steps)
-        for log in group[1:]:
-            common &= set(log.steps)
-        for step in sorted(common):
-            vals = np.array(
-                [ev for log in group for (s, _, ev) in log.records if s == step]
-            )
+        evals.setdefault(log.method, []).append({s: ev for s, _, ev in log.records})
+    rows = []
+    for method, group in evals.items():
+        for step in sorted(set.intersection(*map(set, group))):
+            vals = np.array([by_step[step] for by_step in group])
             rows.append((step, method, float(vals.mean()), float(vals.std())))
     return rows
 
 
-def summary_csv_lines(summary: Sequence[tuple[int, str, float, float]]) -> list[str]:
+def write_summary_csv(summary: Sequence[tuple[int, str, float, float]], path) -> None:
     lines = ["step,method,mean_eval_loss,std_eval_loss"]
     for step, method, mean, std in summary:
         lines.append(f"{step},{method},{float(mean)!r},{float(std)!r}")
-    return lines
-
-
-def write_summary_csv(summary, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(summary_csv_lines(summary)) + "\n")
+        fh.write("\n".join(lines) + "\n")

@@ -436,6 +436,25 @@ class TestCliDecomposeReconstruct:
         observed = np.linalg.norm(read_matrix(out_matrix) - w)
         assert observed == pytest.approx(quant_error, abs=1e-10)
 
+    def test_reconstruct_adds_the_nf4_residual_in_place(self, tmp_path, capsys):
+        w = rand((1024, 1024), seed=7)  # 8 MB
+        chain = mpo_decompose(w, MpoShape.square(SHAPE_PRESETS[1024]), 8)
+        bundle_path, out_matrix = tmp_path / "w.dotc", tmp_path / "back.dotm"
+        write_bundle(bundle_path, chain, quantize_nf4(w - reconstruct(chain), 64))
+        tracemalloc.start()
+        try:
+            assert main(["reconstruct", "--bundle", str(bundle_path),
+                         "--out", str(out_matrix)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        bundle = read_bundle(bundle_path)
+        expected = reconstruct(bundle.chain) + dequantize_nf4(bundle.residual)
+        assert read_matrix(out_matrix).tobytes() == expected.tobytes()
+        # the reconstruction and the decoded residual, but no third sum array
+        assert peak < 2.5 * w.nbytes
+
     def test_deterministic_bundle_bytes(self, tmp_path, capsys):
         src = tmp_path / "w.dotm"
         write_matrix(src, rand((16, 16), seed=6))

@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+import dota.harness
 from dota import (
     AblationConfig,
     Hyper,
@@ -58,6 +62,50 @@ def reference_dota_records(task, hyper):
         if t % hyper.eval_every == 0 or t == hyper.steps:
             record(t)
     return records
+
+
+def reference_run(task, method, hyper):
+    """(records, diverged, diverged_at) of the two-pass loop that
+    run_experiment replaced: after each logged step, a separate pass rebuilt
+    the weight and drew the next batch again for the train loss."""
+    state = dota.harness._init_method(task, method, hyper)
+    shape = (task.batch_size, task.shape.rows)
+
+    def draw(*key):
+        return np.random.default_rng(np.random.SeedSequence(list(key))).standard_normal(shape)
+
+    def batch(t):
+        return draw(task.seed, 1, t)
+
+    x_eval = draw(task.seed, 2)
+    y_eval = x_eval @ task.w_star
+    records = []
+
+    def record(step):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = state.effective_weight()
+            ev = float(np.mean((x_eval @ w - y_eval) ** 2))
+            xb = batch(step + 1)
+            tr = float(np.mean((xb @ w - xb @ task.w_star) ** 2))
+        if not (math.isfinite(ev) and math.isfinite(tr)):
+            return False
+        records.append((step, tr, ev))
+        return True
+
+    if not record(0):
+        return records, True, 0
+    for t in range(1, hyper.steps + 1):
+        xb = batch(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = xb @ state.effective_weight() - xb @ task.w_star
+            loss = float(np.mean(err**2))
+            if math.isfinite(loss):
+                state.gradient_step(xb.T @ (2.0 * err / err.size), hyper.lr)
+        if not math.isfinite(loss):
+            return records, True, t
+        if (t % hyper.eval_every == 0 or t == hyper.steps) and not record(t):
+            return records, True, t
+    return records, False, None
 
 
 class TestRandomInit:
@@ -172,6 +220,39 @@ class TestRunExperiment:
         np.testing.assert_allclose(
             [r[1:] for r in records], [r[1:] for r in reference], rtol=1e-12, atol=0
         )
+
+    @pytest.mark.parametrize("method", dota.harness.METHODS)
+    def test_matches_the_two_pass_reference_loop(self, method):
+        task = small_task(seed=14, r_delta=8)
+        outcomes = []  # (diverged_at, eval_every, steps) of each diverged run
+        for lr, eval_every, steps in itertools.product(
+                (0.1, 5, 30, 1e3, 1e6), (1, 3, 7), (0, 1, 40)):
+            hyper = Hyper(steps=steps, lr=lr, rank=8, eval_every=eval_every)
+            log = run_experiment(task, method, hyper)
+            got = (log.records, log.diverged, log.diverged_at)
+            assert got == reference_run(task, method, hyper), (lr, eval_every, steps)
+            if log.diverged:
+                outcomes.append((log.diverged_at, eval_every, steps))
+        # divergences charged to a logged step (every step is logged at
+        # eval_every 1) and to the step after an unlogged one both occur
+        assert any(ee == 1 for _, ee, _ in outcomes)
+        assert any(at % ee and at != steps for at, ee, steps in outcomes)
+
+    @pytest.mark.parametrize("method", dota.harness.METHODS)
+    def test_each_weight_and_batch_is_made_once(self, method, monkeypatch):
+        task = small_task(seed=15)
+        weights, keys = [], []
+        for cls in (dota.harness._DenseWeight, dota.harness._ChainWeight,
+                    dota.harness.LoraBaseline):
+            built = cls.effective_weight
+            monkeypatch.setattr(cls, "effective_weight",
+                                lambda self, built=built: weights.append(1) or built(self))
+        rng = dota.harness._rng
+        monkeypatch.setattr(dota.harness, "_rng", lambda *key: keys.append(key) or rng(*key))
+        run_experiment(task, method, Hyper(steps=50, lr=0.1, rank=8, eval_every=10))
+        assert len(weights) == 51
+        # one eval batch, then batch t + 1 for each t in 0..50, in order
+        assert keys == [(15, 2)] + [(15, 1, t) for t in range(1, 52)]
 
     @pytest.mark.parametrize(
         "field, value",

@@ -288,6 +288,17 @@ def test_non_finite_step_raises_and_leaves_cores(init):
     assert adapter.merge().tobytes() == before
 
 
+@pytest.mark.parametrize("init", [dota_init, qdota_init])
+@pytest.mark.parametrize("lr", ["0.1", None, 1 + 1j, True, [0.1]])
+def test_step_rejects_a_rate_that_is_not_a_real_number(init, lr):
+    adapter = init(rand((16, 16), seed=20, scale=1.0), MpoShape.square([4, 4]), 2)
+    grads = chain_gradients(adapter.cores, rand((16, 16), seed=21))
+    before = adapter.merge().tobytes()
+    with pytest.raises(ParameterError):
+        adapter.apply_gradients(grads, lr)
+    assert adapter.merge().tobytes() == before
+
+
 class TestQdota:
     def test_init_deviation_is_exactly_residual_error(self):
         w0 = rand((16, 16), seed=8, scale=1.0)
