@@ -194,12 +194,17 @@ class DotaAdapter:
 
     def apply_gradients(self, grads: CoreGradients, lr: float) -> None:
         """One plain gradient-descent step on the cores; the residual is untouched.
-        A rate that is not a real number raises ParameterError, and a non-finite
-        rate or gradient entry NumericError, before any core changes."""
+        A rate that is not a real number raises ParameterError, and a rate not
+        finite as a float, or a non-finite gradient entry, NumericError, before
+        any core changes."""
         grads.check_against(self.cores)
         if not isinstance(lr, numbers.Real) or isinstance(lr, bool):
             raise ParameterError(f"learning rate must be a real number, got {lr!r}")
-        if not (np.isfinite(lr) and all(np.isfinite(g).all() for g in grads.tensors)):
+        try:
+            lr = float(lr)
+        except OverflowError:  # an int or Fraction beyond float range
+            lr = math.inf
+        if not (math.isfinite(lr) and all(np.isfinite(g).all() for g in grads.tensors)):
             raise NumericError("non-finite learning rate or gradient entry")
         self.cores = CoreChain(tuple(
             DenseTensor(c.data - lr * g.astype(c.dtype, copy=False))

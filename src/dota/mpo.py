@@ -252,32 +252,56 @@ def mpo_decompose(
     return CoreChain.from_arrays([c.astype(out_dtype, copy=False) for c in cores])
 
 
-def _left_sweep(chain: CoreChain) -> Iterator[np.ndarray]:
+def _left_sweep(chain: CoreChain, left=None, start: int = 0) -> Iterator[np.ndarray]:
     """Yield L_0 = ones((1, 1)), then L_k, the float64 contraction of cores
     0..k-1 as a (prod_{m<k} I_m J_m, r_k) matrix, in the interleaved layout.
+    Given rows of some L_start as ``left``, carry them on from core ``start``.
 
     Only the current matrix is kept, so a caller that needs every L_k has
     to store them itself.
     """
-    left = np.ones((1, 1))
+    left = np.ones((1, 1)) if left is None else left
     yield left
-    for core in chain.cores:
+    for core in chain.cores[start:]:
         r0, _, _, r1 = core.shape
         left = (left @ core.data.astype(np.float64, copy=False).reshape(r0, -1)).reshape(-1, r1)
         yield left
 
 
+# A matrix of more elements than this (8 MB of float64) is rebuilt in panels.
+_PANEL = 1 << 20
+
+
 def reconstruct(chain: CoreChain) -> np.ndarray:
-    """Contract the chain over its bonds and reassemble the full matrix."""
-    for left in _left_sweep(chain):
-        pass
-    # left is (prod I_k J_k, 1) in the interleaved layout (i_1, j_1, ...);
-    # undo the interleaving and flatten to (prod I, prod J).
-    shape = chain.shape
-    interleaved = left.reshape([f for ij in zip(shape.in_factors, shape.out_factors) for f in ij])
-    separated = np.transpose(interleaved, _deinterleaving(len(chain)))
-    out = separated.reshape(shape.rows, shape.cols)
-    return np.ascontiguousarray(out.astype(chain.dtype, copy=False))
+    """Contract the chain over its bonds and reassemble the full matrix.
+
+    Past ``_PANEL`` elements, once L_k has two or more rows per (i_1, j_1)
+    panel (one row would go through GEMV), each panel is contracted through
+    the remaining cores and written straight into W's layout: the result is
+    the only full-size array, with the same bytes as when built in one piece."""
+    shape, n = chain.shape, len(chain)
+    panels = shape.in_factors[0] * shape.out_factors[0]
+    modes = [f for ij in zip(shape.in_factors, shape.out_factors) for f in ij]
+    # Whether each core's product splits by rows exactly (False for a small matrix):
+    # on OpenBLAS 0.3.31's Haswell DGEMM kernels a split product changed in the last
+    # bits with a column count not a multiple of 8 or an inner dimension above 384.
+    exact = shape.rows * shape.cols > _PANEL and [
+        i * j * r1 % 16 == 0 and r0 <= 256 for r0, i, j, r1 in (c.shape for c in chain.cores)]
+    for k, left in enumerate(_left_sweep(chain)):
+        if exact and k < n and len(left) > panels and all(exact[k:]):
+            break
+    else:  # L_N is (prod I_k J_k, 1) in the interleaved layout (i_1, j_1, ...)
+        out = np.transpose(left.reshape(modes), _deinterleaving(n)).reshape(shape.rows, shape.cols)
+        return np.ascontiguousarray(out.astype(chain.dtype, copy=False))
+    out = np.empty((shape.rows, shape.cols), dtype=chain.dtype)
+    separated = out.reshape(shape.in_factors + shape.out_factors)
+    for p, rows in enumerate(np.split(left, panels)):
+        for panel in _left_sweep(chain, rows, k):
+            pass
+        i, j = divmod(p, shape.out_factors[0])
+        separated[(i,) + (slice(None),) * (n - 1) + (j,)] = np.transpose(
+            panel.reshape(modes[2:]), _deinterleaving(n - 1))
+    return out
 
 
 def param_count(shape: MpoShape, ranks: Sequence[int]) -> int:
@@ -292,10 +316,11 @@ def _residual_error(w: np.ndarray, chain: CoreChain) -> tuple[np.ndarray, float]
     w = np.asarray(w, dtype=np.float64)
     chain.shape.check_matrix(w)
     denom = float(np.linalg.norm(w))
-    # A non-finite w skips the subtraction, where inf - inf would warn.
-    if not math.isfinite(denom):
+    # Non-finite entries skip the contraction and subtraction, where inf - inf would warn.
+    if not (math.isfinite(denom) and all(np.isfinite(c.data).all() for c in chain.cores)):
         raise NumericError("non-finite entries in the matrix or the chain")
-    d = w - reconstruct(chain).astype(np.float64, copy=False)
+    d = reconstruct(chain).astype(np.float64, copy=False)
+    np.subtract(w, d, out=d)  # in place: d is fresh, and one full-size array is enough
     diff = float(np.linalg.norm(d))
     if not math.isfinite(diff):
         raise NumericError("non-finite entries in the matrix or the chain")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +23,8 @@ from dota import (
     reorder_for_mpo,
     truncated_ranks,
 )
-from dota.mpo import _QR_BLOCK, _r_factor
+from dota import mpo
+from dota.mpo import _QR_BLOCK, _deinterleaving, _r_factor, _residual_error
 
 # Its first unfolding is 4 x 9600: four whole QR blocks of 2048 columns and 1408 more.
 WIDE = MpoShape((2, 96), (2, 100))
@@ -57,6 +60,41 @@ def tt_svd(w, shape, rank):
         m = s[:r1, None] * vt[:r1, :]
     cores.append(m.reshape(last))
     return [c.astype(w.dtype) for c in cores], spectra
+
+
+def reference_reconstruct(chain):
+    """The single-piece contraction: the float64 product L_N of every core,
+    de-interleaved and cast back as a whole."""
+    left = np.ones((1, 1))
+    for core in chain.cores:
+        r0, _, _, r1 = core.shape
+        left = (left @ core.data.astype(np.float64, copy=False).reshape(r0, -1)).reshape(-1, r1)
+    shape = chain.shape
+    interleaved = left.reshape([f for ij in zip(shape.in_factors, shape.out_factors) for f in ij])
+    out = np.transpose(interleaved, _deinterleaving(len(chain))).reshape(shape.rows, shape.cols)
+    return np.ascontiguousarray(out.astype(chain.dtype, copy=False))
+
+
+def random_chain(shape, ranks, dtype=np.float64, seed=0):
+    rng = np.random.default_rng(seed)
+    return CoreChain.from_arrays([rng.normal(size=s).astype(dtype) for s in shape.core_shapes(ranks)])
+
+
+@st.composite
+def panel_chains(draw, budget=1 << 16):
+    """A random chain of 3-5 cores, factors 1-5 and ranks up to their
+    ceilings, with at most ``budget`` matrix elements. Its last factor pair
+    is often (4, 4): 16 columns let the products before it split in panels."""
+    n = draw(st.integers(3, 5))
+    last = draw(st.sampled_from([(4, 4), None])) or (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    factors, size = [], last[0] * last[1]
+    for _ in range(2 * (n - 1)):
+        factors.append(draw(st.integers(1, max(1, min(5, budget // size)))))
+        size *= factors[-1]
+    shape = MpoShape(tuple(factors[::2]) + last[:1], tuple(factors[1::2]) + last[1:])
+    ranks = [draw(st.integers(1, r)) for r in max_ranks(shape)]
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return random_chain(shape, ranks, dtype, seed=draw(st.integers(0, 99)))
 
 
 def tol(dtype, f64):
@@ -348,6 +386,56 @@ class TestReconstruct:
         # bond rank 5 exceeds min(4, 4) for 2x2 factor pairs
         with pytest.raises(ShapeError):
             CoreChain.from_arrays([np.zeros((1, 2, 2, 5)), np.zeros((5, 2, 2, 1))])
+
+
+class TestPanels:
+    """reconstruct in (i_1, j_1) panels against the single-piece contraction."""
+
+    @given(panel_chains(), st.integers(0, 99))
+    @settings(deadline=None, max_examples=150)
+    def test_forced_panels_are_byte_identical(self, chain, seed):
+        w = rand((chain.shape.rows, chain.shape.cols), seed=seed)
+        want = reference_reconstruct(chain)
+        want_d = w - want.astype(np.float64, copy=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mpo, "_PANEL", 0)
+            got = reconstruct(chain)
+            d, err = _residual_error(w, chain)
+        assert got.dtype == chain.dtype and got.tobytes() == want.tobytes()
+        assert d.tobytes() == want_d.tobytes()
+        assert err == float(np.linalg.norm(want_d)) / float(np.linalg.norm(w))
+
+    def test_4096_preset_is_byte_identical_and_fresh(self):
+        shape = MpoShape.square(SHAPE_PRESETS[4096])
+        chain = random_chain(shape, truncated_ranks(shape, 8), seed=1)
+        got = reconstruct(chain)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert not any(np.shares_memory(got, c.data) for c in chain.cores)
+        assert got.tobytes() == reference_reconstruct(chain).tobytes()
+
+    def test_peak_holds_one_full_size_array(self, monkeypatch):
+        shape = MpoShape.square(SHAPE_PRESETS[1024])
+        chain = random_chain(shape, truncated_ranks(shape, 8), seed=2)
+        w = rand((shape.rows, shape.cols), seed=3)
+        monkeypatch.setattr(mpo, "_PANEL", 0)
+        for build in (lambda: reconstruct(chain), lambda: _residual_error(w, chain)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * w.nbytes  # one contraction in one piece would hold two
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("core", [0, 1, 2])
+    def test_non_finite_core_raises(self, monkeypatch, value, core):
+        shape = MpoShape.square([2, 2, 4])  # four panels of four rows
+        arrays = [c.data.copy() for c in random_chain(shape, max_ranks(shape), seed=4).cores]
+        arrays[core].flat[0] = value
+        monkeypatch.setattr(mpo, "_PANEL", 0)
+        with pytest.raises(NumericError):  # a warning fails it (filterwarnings)
+            reconstruction_error(rand((16, 16), seed=5), CoreChain.from_arrays(arrays))
 
 
 class TestParamCount:

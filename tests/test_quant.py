@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,6 +297,21 @@ def test_step_rejects_a_rate_that_is_not_a_real_number(init, lr):
     before = adapter.merge().tobytes()
     with pytest.raises(ParameterError):
         adapter.apply_gradients(grads, lr)
+    assert adapter.merge().tobytes() == before
+
+
+@pytest.mark.parametrize("init", [dota_init, qdota_init])
+def test_step_takes_any_real_rate_as_a_float(init):
+    # Fraction and int are real numbers numpy cannot take as they are
+    w0, shape = rand((16, 16), seed=20, scale=1.0), MpoShape.square([4, 4])
+    adapter, twin = init(w0, shape, 2), init(w0, shape, 2)
+    grads = chain_gradients(adapter.cores, rand((16, 16), seed=21))
+    adapter.apply_gradients(grads, Fraction(1, 10))
+    twin.apply_gradients(grads, 0.1)
+    assert adapter.merge().tobytes() == twin.merge().tobytes()
+    before = adapter.merge().tobytes()
+    with pytest.raises(NumericError):
+        adapter.apply_gradients(grads, 10**400)  # beyond float range
     assert adapter.merge().tobytes() == before
 
 
