@@ -26,8 +26,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .mpo import CoreChain, MpoShape, _left_sweep, mpo_decompose, reconstruct, reorder_for_mpo
-from .tensor_core import DenseTensor, _as_readonly
+from .mpo import CoreChain, MpoShape, _left_sweep, mpo_decompose, reconstruct
+from .tensor_core import _as_readonly
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,12 @@ def chain_gradients(chain: CoreChain, dw: np.ndarray) -> CoreGradients:
     cores k+1..N-1, the gradient of core k is L_k^T @ E; E then absorbs
     core k for the next core to the left.
     """
-    interleaved, _ = reorder_for_mpo(np.asarray(dw, dtype=np.float64), chain.shape)
+    shape = chain.shape
+    dw = np.asarray(dw, dtype=np.float64)
+    shape.check_matrix(dw)
+    e = np.ascontiguousarray(np.transpose(
+        dw.reshape(shape.in_factors + shape.out_factors), shape._axes[1]))
     lefts = list(islice(_left_sweep(chain), len(chain)))
-    e = interleaved.data
     grads = []
     for left, core in zip(reversed(lefts), reversed(chain.cores)):
         e = e.reshape(left.shape[0], -1)
@@ -148,8 +151,8 @@ class DotaAdapter:
         self.shape.check_matrix(self.w_res)
         if self.cores.shape != self.shape:
             raise ShapeError("core chain factors do not match the adapter shape")
-        if not np.isfinite(self.w_res).all():
-            raise NumericError("residual contains non-finite entries")
+        if not all(np.isfinite(a).all() for a in (self.w_res, *(c.data for c in self.cores.cores))):
+            raise NumericError("residual or cores contain non-finite entries")
         self.w_res = _as_readonly(self.w_res)
 
     @property
@@ -206,10 +209,8 @@ class DotaAdapter:
             lr = math.inf
         if not (math.isfinite(lr) and all(np.isfinite(g).all() for g in grads.tensors)):
             raise NumericError("non-finite learning rate or gradient entry")
-        self.cores = CoreChain(tuple(
-            DenseTensor(c.data - lr * g.astype(c.dtype, copy=False))
-            for c, g in zip(self.cores.cores, grads.tensors)
-        ))
+        self.cores = self.cores._stepped([c.data - lr * g.astype(c.dtype, copy=False)
+                                          for c, g in zip(self.cores.cores, grads.tensors)])
 
 
 def dota_init(
@@ -221,6 +222,7 @@ def dota_init(
     frozen residual, so the adapter's effective weight starts at W0."""
     w0 = np.asarray(w0)
     cores = mpo_decompose(w0, shape, rank_threshold)
-    w_res = w0 - reconstruct(cores)
-    w_res.flags.writeable = False  # fresh, so the adapter adopts it without a copy
+    w_res = reconstruct(cores)
+    np.subtract(w0, w_res, out=w_res)  # in place: the reconstruction is fresh
+    w_res.flags.writeable = False  # so the adapter adopts it without a copy
     return DotaAdapter(w_res=w_res, cores=cores, shape=shape)

@@ -290,43 +290,50 @@ def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
     """Train one method on the task, logging eval loss on a fixed held-out
     batch every ``eval_every`` steps (plus step 0 and the final step).
 
+    The one-method case of the lockstep loop :func:`ablate` runs per task.
     The batch stream is a function of (task seed, step index) only, so all
     methods on the same task see identical data. Every method takes the same
     step: the dense weight gradient x^T dy of the mean squared error at its
     effective weight goes to its ``gradient_step``. The ``train_loss`` logged
     at step t is the loss of the weight after t steps on the batch that step
-    t + 1 trains on. A non-finite loss aborts the run and returns the partial
-    log with ``diverged`` set; ``diverged_at`` is t if step t is logged, else
+    t + 1 trains on. A non-finite loss ends the run, leaving the partial log
+    with ``diverged`` set; ``diverged_at`` is t if step t is logged, else
     t + 1, the step that would have trained on that loss.
     """
-    state = _init_method(task, method, hyper)
+    return _train(task, (method,), hyper)[0]
+
+
+def _train(task: SyntheticTask, methods: Sequence[str], hyper: Hyper) -> list[TrainLog]:
+    """:func:`run_experiment` of each method, one log each in the given order,
+    in lockstep: each step draws one batch and target for every live method."""
+    states = [_init_method(task, m, hyper) for m in methods]
+    logs = [TrainLog(m, task.seed, asdict(hyper), s.trainable_params)
+            for m, s in zip(methods, states)]
+    live = list(zip(states, logs))
     batch_shape = (task.batch_size, task.shape.rows)
     x_eval = _rng(task.seed, _STREAM_EVAL).standard_normal(batch_shape)
     y_eval = x_eval @ task.w_star
-    log = TrainLog(
-        method=method,
-        seed=task.seed,
-        hyper=asdict(hyper),
-        trainable_params=state.trainable_params,
-    )
     for t in range(hyper.steps + 1):
+        if not live:
+            break
         xb = _rng(task.seed, _STREAM_BATCH, t + 1).standard_normal(batch_shape)
         logged = t % hyper.eval_every == 0 or t == hyper.steps
         with np.errstate(over="ignore", invalid="ignore"):
-            w = state.effective_weight()
-            ev = float(np.mean((x_eval @ w - y_eval) ** 2)) if logged else 0.0
-            err = xb @ w - xb @ task.w_star
-            loss = float(np.mean(err**2))
-            finite = math.isfinite(ev) and math.isfinite(loss)
-            if finite and t < hyper.steps:
-                state.gradient_step(xb.T @ (2.0 * err / err.size), hyper.lr)
-        if not finite:
-            log.diverged = True
-            log.diverged_at = t if logged else t + 1
-            break
-        if logged:
-            log.records.append((t, loss, ev))
-    return log
+            yb = xb @ task.w_star
+            for state, log in live:
+                w = state.effective_weight()
+                ev = float(np.mean((x_eval @ w - y_eval) ** 2)) if logged else 0.0
+                err = xb @ w - yb
+                loss = float(np.mean(err**2))
+                if not (math.isfinite(ev) and math.isfinite(loss)):
+                    log.diverged, log.diverged_at = True, t if logged else t + 1
+                    continue
+                if t < hyper.steps:
+                    state.gradient_step(xb.T @ (2.0 * err / err.size), hyper.lr)
+                if logged:
+                    log.records.append((t, loss, ev))
+        live = [(state, log) for state, log in live if not log.diverged]
+    return logs
 
 
 # The JSON keys of a config, with the defaults of the optional ones.
@@ -413,20 +420,16 @@ def _resolve_shape(dims, shapes, n) -> MpoShape:
 def ablate(config: AblationConfig) -> tuple[list[TrainLog], list[tuple[int, str, float, float]]]:
     """Run the full method-by-seed grid and summarize eval losses.
 
-    Returns every TrainLog plus summary rows (step, method, mean, std) with
-    the mean and population standard deviation taken across seeds.
+    A seed's methods train in lockstep on one batch stream, all held at once.
+    Returns every TrainLog, seed by seed in the config's method order, plus
+    summary rows (step, method, mean, std) with the mean and population
+    standard deviation taken across seeds.
     """
     logs = []
     for seed in config.seeds:
-        task = make_task(
-            config.shape,
-            r_delta=config.r_delta,
-            delta_scale=config.delta_scale,
-            batch_size=config.batch_size,
-            seed=seed,
-        )
-        for method in config.methods:
-            logs.append(run_experiment(task, method, config.hyper))
+        task = make_task(config.shape, r_delta=config.r_delta, delta_scale=config.delta_scale,
+                         batch_size=config.batch_size, seed=seed)
+        logs.extend(_train(task, config.methods, config.hyper))
     summary = summarize(logs)
     return logs, summary
 

@@ -87,6 +87,15 @@ class MpoShape:
         ranks = tuple(map(operator.index, ranks))
         return list(zip(ranks, self.in_factors, self.out_factors, ranks[1:]))
 
+    @cached_property
+    def _axes(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Built once per shape: the modes (i_1, j_1, ..., i_N, j_N), the axis order
+        (0, N, 1, N + 1, ...) taking (I_1..I_N, J_1..J_N) to them, and its inverse."""
+        n = self.n_cores
+        order = tuple(a for k in range(n) for a in (k, n + k))
+        separated = self.in_factors + self.out_factors
+        return tuple(separated[a] for a in order), order, _deinterleaving(n)
+
     def check_matrix(self, w: np.ndarray) -> None:
         if w.ndim != 2 or w.shape != (self.rows, self.cols):
             raise ShapeError(
@@ -146,6 +155,16 @@ class CoreChain:
     def from_arrays(cls, arrays: Sequence[np.ndarray]) -> "CoreChain":
         return cls(tuple(DenseTensor(a) for a in arrays))
 
+    def _stepped(self, arrays: Sequence[np.ndarray]) -> "CoreChain":
+        """A chain of fresh ``arrays`` with this chain's core shapes and dtype, frozen
+        in place for DenseTensor to adopt; it keeps this MpoShape, unchecked."""
+        for a in arrays:
+            a.flags.writeable = False
+        chain = object.__new__(type(self))
+        object.__setattr__(chain, "cores", tuple(map(DenseTensor, arrays)))
+        object.__setattr__(chain, "shape", self.shape)  # fills the cached property
+        return chain
+
 
 def max_ranks(shape: MpoShape) -> tuple[int, ...]:
     """Largest possible bond ranks (R_0..R_N): at bond k, the smaller of the
@@ -167,14 +186,9 @@ def truncated_ranks(shape: MpoShape, rank_threshold: int | None) -> tuple[int, .
                  for k, r in enumerate(full))
 
 
-def _interleaving(n: int) -> tuple[int, ...]:
-    """Axis order (0, n, 1, n + 1, ...) taking (I_1..I_N, J_1..J_N) to
-    (i_1, j_1, ..., i_N, j_N)."""
-    return tuple(a for k in range(n) for a in (k, n + k))
-
-
 def _deinterleaving(n: int) -> tuple[int, ...]:
-    """Inverse of :func:`_interleaving`: (0, 2, ..., 2N - 2, 1, 3, ..., 2N - 1)."""
+    """Axis order (0, 2, ..., 2N - 2, 1, 3, ..., 2N - 1) taking
+    (i_1, j_1, ..., i_N, j_N) back to (I_1..I_N, J_1..J_N)."""
     return tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
 
 
@@ -186,12 +200,12 @@ def reorder_for_mpo(w: np.ndarray, shape: MpoShape) -> tuple[DenseTensor, tuple[
     """
     w = np.asarray(w)
     shape.check_matrix(w)
-    n = shape.n_cores
+    _, order, inverse = shape._axes
     separated = w.reshape(shape.in_factors + shape.out_factors)
     # One fresh copy, frozen here so DenseTensor need not copy it again.
-    interleaved = np.transpose(separated, _interleaving(n)).copy()
+    interleaved = np.transpose(separated, order).copy()
     interleaved.flags.writeable = False
-    return DenseTensor(interleaved), _deinterleaving(n)
+    return DenseTensor(interleaved), inverse
 
 
 def _zero_chain(shape: MpoShape, dtype) -> CoreChain:
@@ -281,7 +295,7 @@ def reconstruct(chain: CoreChain) -> np.ndarray:
     the only full-size array, with the same bytes as when built in one piece."""
     shape, n = chain.shape, len(chain)
     panels = shape.in_factors[0] * shape.out_factors[0]
-    modes = [f for ij in zip(shape.in_factors, shape.out_factors) for f in ij]
+    modes, _, inverse = shape._axes
     # Whether each core's product splits by rows exactly (False for a small matrix):
     # on OpenBLAS 0.3.31's Haswell DGEMM kernels a split product changed in the last
     # bits with a column count not a multiple of 8 or an inner dimension above 384.
@@ -291,7 +305,7 @@ def reconstruct(chain: CoreChain) -> np.ndarray:
         if exact and k < n and len(left) > panels and all(exact[k:]):
             break
     else:  # L_N is (prod I_k J_k, 1) in the interleaved layout (i_1, j_1, ...)
-        out = np.transpose(left.reshape(modes), _deinterleaving(n)).reshape(shape.rows, shape.cols)
+        out = np.transpose(left.reshape(modes), inverse).reshape(shape.rows, shape.cols)
         return np.ascontiguousarray(out.astype(chain.dtype, copy=False))
     out = np.empty((shape.rows, shape.cols), dtype=chain.dtype)
     separated = out.reshape(shape.in_factors + shape.out_factors)

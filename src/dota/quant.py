@@ -290,5 +290,6 @@ def qdota_init(
     """dota_init with the residual quantized to NF4; cores stay full precision."""
     w0 = np.asarray(w0)
     cores = mpo_decompose(w0, shape, rank_threshold)
-    w_res = w0 - reconstruct(cores)
+    w_res = reconstruct(cores)
+    np.subtract(w0, w_res, out=w_res)  # in place: the reconstruction is fresh
     return QdotaAdapter(q_res=quantize_nf4(w_res, block_size), cores=cores, shape=shape)

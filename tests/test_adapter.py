@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import dota.adapter
 from dota.adapter import _chain_backward, _chain_forward, _sweep_is_cheaper
+from dota.mpo import _left_sweep
 from dota import (
     SHAPE_PRESETS,
     CoreChain,
@@ -16,6 +19,7 @@ from dota import (
     mpo_decompose,
     param_count,
     reconstruct,
+    reorder_for_mpo,
     truncated_ranks,
 )
 
@@ -66,6 +70,19 @@ def einsum_chain_gradients(chain, dw):
     return grads
 
 
+def reference_chain_gradients(chain, dw):
+    """chain_gradients with dw interleaved through reorder_for_mpo."""
+    interleaved, _ = reorder_for_mpo(np.asarray(dw, dtype=np.float64), chain.shape)
+    lefts = list(islice(_left_sweep(chain), len(chain)))
+    e = interleaved.data
+    grads = []
+    for left, core in zip(reversed(lefts), reversed(chain.cores)):
+        e = e.reshape(left.shape[0], -1)
+        grads.append((left.T @ e).reshape(core.shape))
+        e = e @ core.data.astype(np.float64, copy=False).reshape(core.shape[0], -1).T
+    return grads[::-1]
+
+
 @st.composite
 def random_chains(draw, max_cores=4, max_rank=4):
     """Chains of 1-max_cores cores, factors 1-4, bonds truncated at
@@ -95,6 +112,25 @@ class TestChainKernel:
         for g, ref, core in zip(grads.tensors, einsum_chain_gradients(chain, dw), chain.cores):
             assert g.shape == core.shape
             assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @given(random_chains(), st.integers(0, 2**32 - 1),
+           st.sampled_from([np.float32, np.float64]), st.booleans())
+    @example(SINGLE_CORE, 43, np.float64, True)
+    @settings(deadline=None, max_examples=60)
+    def test_gradients_are_the_bytes_of_the_reorder_reference(self, chain, seed, dtype,
+                                                               transposed):
+        rows, cols = chain.shape.rows, chain.shape.cols
+        dw = rand((cols, rows) if transposed else (rows, cols), seed).astype(dtype)
+        dw = dw.T if transposed else dw  # a non-contiguous dw, too
+        grads = chain_gradients(chain, dw).tensors
+        for g, ref in zip(grads, reference_chain_gradients(chain, dw), strict=True):
+            assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dw_shape", [(8, 9), (9, 8), (64,), (8, 8, 1)])
+    def test_gradients_of_a_wrong_shape_raise(self, dw_shape):
+        chain = mpo_decompose(rand((8, 8), seed=44), MpoShape.square([2, 4]), 2)
+        with pytest.raises(ShapeError):
+            chain_gradients(chain, np.zeros(dw_shape))
 
     @given(random_chains())
     @example(SINGLE_CORE)
@@ -388,6 +424,22 @@ class TestTraining:
         zeros = CoreChain.from_arrays([np.zeros(c.shape) for c in adapter.cores.cores])
         adapter.cores = zeros
         assert np.array_equal(adapter.merge(), adapter.w_res)
+
+    @given(random_chains(), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
+    @example(SINGLE_CORE, 45, 0.1)
+    @settings(deadline=None, max_examples=60)
+    def test_step_matches_a_rebuilt_chain(self, chain, seed, lr):
+        shape = chain.shape
+        adapter = DotaAdapter(np.zeros((shape.rows, shape.cols)), chain, shape)
+        grads = chain_gradients(chain, rand((shape.rows, shape.cols), seed))
+        adapter.apply_gradients(grads, lr)
+        want = CoreChain.from_arrays([c.data - lr * g.astype(c.dtype)
+                                      for c, g in zip(chain.cores, grads.tensors)])
+        assert adapter.cores.shape is chain.shape
+        assert adapter.cores.ranks == want.ranks
+        for got, ref in zip(adapter.cores.cores, want.cores, strict=True):
+            assert got.dtype == ref.dtype and got.data.tobytes() == ref.data.tobytes()
+            assert got.data.flags.c_contiguous and not got.data.flags.writeable
 
     def test_gradient_shape_check(self):
         adapter = dota_init(rand((8, 8), seed=29), MpoShape.square([2, 4]), 2)

@@ -361,6 +361,37 @@ class TestAblate:
         _, b = ablate(self.config(seeds=[5], steps=10))
         assert a == b
 
+    def test_lockstep_logs_equal_one_method_runs(self):
+        methods = tuple(reversed(dota.harness.METHODS))  # logs keep the config's order
+        mixed = []  # grids where some methods diverged and others ran on
+        for lr, eval_every, steps in itertools.product((0.1, 5, 1e3, 1e6), (1, 3, 7), (0, 1, 40)):
+            config = self.config(lr=lr, eval_every=eval_every, steps=steps, seeds=[14, 15],
+                                 methods=list(methods))
+            with np.errstate(over="ignore"):  # the summary's std of losses near 1e287
+                logs, _ = ablate(config)
+            expected = []
+            for seed in config.seeds:
+                task = make_task(SHAPE_64, r_delta=8, delta_scale=0.05, seed=seed)
+                expected += [run_experiment(task, m, config.hyper) for m in methods]
+            assert [(log.seed, log.method) for log in logs] == \
+                [(log.seed, log.method) for log in expected]
+            for got, want in zip(logs, expected):
+                assert (got.records, got.diverged, got.diverged_at, got.trainable_params) == \
+                    (want.records, want.diverged, want.diverged_at, want.trainable_params)
+            diverged = {log.diverged for log in logs}
+            if diverged == {True, False}:
+                mixed.append((lr, eval_every, steps))
+        assert mixed
+
+    def test_each_task_draws_each_batch_once(self, monkeypatch):
+        keys = []
+        rng = dota.harness._rng
+        monkeypatch.setattr(dota.harness, "_rng", lambda *key: keys.append(key) or rng(*key))
+        ablate(self.config(seeds=[3, 4], steps=20, eval_every=5, methods=list(dota.harness.METHODS)))
+        # per task: its own draw, one eval batch, then batch t + 1 for each t in 0..20
+        assert keys == [key for seed in (3, 4) for key in
+                        [(seed, 0), (seed, 2)] + [(seed, 1, t) for t in range(1, 22)]]
+
 
 class TestConfigValidation:
     def test_minimal_valid(self):

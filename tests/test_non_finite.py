@@ -11,6 +11,7 @@ from dota import (
     DotaAdapter,
     MpoShape,
     NumericError,
+    QdotaAdapter,
     QuantizedMatrix,
     dota_init,
     mpo_decompose,
@@ -63,6 +64,23 @@ def _bundle_with_bad_block_scale(w, path):
     write_bundle(path, _chain(), bad)
 
 
+def _adapter_with_bad_core(make, core):
+    """Builds ``make(w_res, chain)`` over a chain whose given core holds the bad value."""
+    def build(w, path):
+        cores = [c.data.copy() for c in _chain().cores]
+        cores[core].flat[0] = w.flat[w.size // 3]
+        make(rand((16, 16)), CoreChain.from_arrays(cores))
+    return build
+
+
+def _dense_adapter(w_res, chain):
+    return DotaAdapter(w_res=w_res, cores=chain, shape=SHAPE)
+
+
+def _nf4_adapter(w_res, chain):
+    return QdotaAdapter(quantize_nf4(w_res), chain, SHAPE)
+
+
 # Each takes the poisoned matrix and a path to write to.
 ENTRY_POINTS = {
     "mpo_decompose": lambda w, path: mpo_decompose(w, SHAPE, 2),
@@ -72,6 +90,10 @@ ENTRY_POINTS = {
     "QuantizedMatrix": _quantized_with_bad_block_scale,
     "reconstruction_error": lambda w, path: reconstruction_error(w, _chain()),
     "DotaAdapter": lambda w, path: DotaAdapter(w_res=w, cores=_chain(), shape=SHAPE),
+    "DotaAdapter-core0": _adapter_with_bad_core(_dense_adapter, 0),
+    "DotaAdapter-core1": _adapter_with_bad_core(_dense_adapter, 1),
+    "QdotaAdapter-core0": _adapter_with_bad_core(_nf4_adapter, 0),
+    "QdotaAdapter-core1": _adapter_with_bad_core(_nf4_adapter, 1),
     "write_bundle-residual": lambda w, path: write_bundle(path, _chain(), w),
     "write_bundle-core": _bundle_with_bad_core,
     "write_bundle-block-scale": _bundle_with_bad_block_scale,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dota.adapter
+import dota.quant
 from dota import (
+    SHAPE_PRESETS,
     CoreGradients,
     DotaAdapter,
     MpoShape,
@@ -26,8 +30,10 @@ from dota import (
     qdota_init,
     quantize_nf4,
     read_bundle,
+    reconstruct,
     write_bundle,
 )
+from dota import mpo
 from dota.quant import _BINS, _CHUNK
 
 
@@ -313,6 +319,40 @@ def test_step_takes_any_real_rate_as_a_float(init):
     with pytest.raises(NumericError):
         adapter.apply_gradients(grads, 10**400)  # beyond float range
     assert adapter.merge().tobytes() == before
+
+
+class TestInitResidual:
+    """dota_init and qdota_init subtract W0 in place into the reconstruction."""
+
+    @staticmethod
+    def panels(monkeypatch, dtype):
+        """A 1024 preset W0 rebuilt in panels, decomposed ahead of time."""
+        shape = MpoShape.square(SHAPE_PRESETS[1024])
+        w0 = rand((shape.rows, shape.cols), seed=50).astype(dtype)
+        chain = mpo_decompose(w0, shape, 8)
+        for module in (dota.adapter, dota.quant):
+            monkeypatch.setattr(module, "mpo_decompose", lambda *args: chain)
+        monkeypatch.setattr(mpo, "_PANEL", 0)
+        return w0, shape, chain
+
+    def test_dota_init_peak_holds_one_full_size_array(self, monkeypatch):
+        w0, shape, _ = self.panels(monkeypatch, np.float64)
+        tracemalloc.start()
+        try:
+            dota_init(w0, shape, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * w0.nbytes  # a separate difference would hold two
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_residuals_are_the_bytes_of_the_difference(self, monkeypatch, dtype):
+        w0, shape, chain = self.panels(monkeypatch, dtype)
+        want = w0 - reconstruct(chain)
+        assert dota_init(w0, shape, 8).w_res.tobytes() == want.tobytes()
+        got, ref = qdota_init(w0, shape, 8).q_res, quantize_nf4(want)
+        assert got.packed.tobytes() == ref.packed.tobytes()
+        assert got.absmax.tobytes() == ref.absmax.tobytes()
 
 
 class TestQdota:
