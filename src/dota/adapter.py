@@ -18,14 +18,13 @@ from x^T dy through :func:`chain_gradients`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, _number_problem
 from .mpo import CoreChain, MpoShape, _left_sweep, mpo_decompose, reconstruct
 from .tensor_core import _as_readonly
 
@@ -201,15 +200,12 @@ class DotaAdapter:
         finite as a float, or a non-finite gradient entry, NumericError, before
         any core changes."""
         grads.check_against(self.cores)
-        if not isinstance(lr, numbers.Real) or isinstance(lr, bool):
-            raise ParameterError(f"learning rate must be a real number, got {lr!r}")
-        try:
-            lr = float(lr)
-        except OverflowError:  # an int or Fraction beyond float range
-            lr = math.inf
-        if not (math.isfinite(lr) and all(np.isfinite(g).all() for g in grads.tensors)):
+        problem = _number_problem(lr, -math.inf)
+        if problem and not problem.startswith("expected a finite"):
+            raise ParameterError(f"learning rate: {problem}")
+        if problem or not all(np.isfinite(g).all() for g in grads.tensors):
             raise NumericError("non-finite learning rate or gradient entry")
-        self.cores = self.cores._stepped([c.data - lr * g.astype(c.dtype, copy=False)
+        self.cores = self.cores._stepped([c.data - float(lr) * g.astype(c.dtype, copy=False)
                                           for c, g in zip(self.cores.cores, grads.tensors)])
 
 

@@ -123,11 +123,8 @@ def _cmd_train(args) -> int:
         file=sys.stderr,
     )
     logs, summary = ablate(config)
-    paths = []
     for log in logs:
-        path = os.path.join(args.out_dir, f"{log.method}_seed{log.seed}.csv")
-        log.write_csv(path)
-        paths.append(path)
+        log.write_csv(os.path.join(args.out_dir, f"{log.method}_seed{log.seed}.csv"))
     summary_path = os.path.join(args.out_dir, "summary.csv")
     write_summary_csv(summary, summary_path)
     _emit({"runs": len(logs), "summary": summary_path, "out_dir": args.out_dir})

@@ -17,17 +17,17 @@ Bundle file (``DOTC``)::
     magic      4s   "DOTC"
     version    u8   1
     header_len u32
-    header     UTF-8 JSON (in_factors, out_factors, ranks, dtype,
-                has_residual, residual_quantized, block_size,
-                original_rows, original_cols)
+    header     the UTF-8 JSON write_bundle writes, keys sorted, no whitespace:
+                in_factors, out_factors, ranks, dtype, has_residual,
+                residual_quantized, block_size, original_rows, original_cols
     cores      core payloads in chain order, row-major
     residual   raw matrix, or packed NF4 codes followed by block scales
 
 Readers make one forward pass over the open file, whose size they take
 from ``fstat``: each read checks that the file still holds its bytes before
 anything is allocated, and reads a payload straight into its array. Bytes
-left after the last read, like any header/payload mismatch, raise
-:class:`FormatError`.
+left after the last read, any header/payload mismatch, and any header but
+the JSON write_bundle writes for what it names raise :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -166,18 +166,8 @@ def write_bundle(path, chain: CoreChain, residual=None) -> None:
         np.ascontiguousarray(residual.absmax if quantized else residual, dtype=_le(dtype))]
     if not all(np.isfinite(a).all() for a in cores + tail):
         raise NumericError("cannot write non-finite cores, residual entries or block scales")
-    header = {
-        "in_factors": list(shape.in_factors),
-        "out_factors": list(shape.out_factors),
-        "ranks": list(chain.ranks),
-        "dtype": dtype_name,
-        "has_residual": residual is not None,
-        "residual_quantized": quantized,
-        "block_size": residual.block_size if quantized else None,
-        "original_rows": shape.rows,
-        "original_cols": shape.cols,
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = _header_bytes(shape, chain.ranks, dtype_name, residual is not None,
+                                 residual.block_size if quantized else None)
     with open(path, "wb") as fh:
         fh.write(_BUNDLE_HEADER.pack(BUNDLE_MAGIC, FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
@@ -189,15 +179,21 @@ def write_bundle(path, chain: CoreChain, residual=None) -> None:
             fh.write(a)
 
 
-def _header_field(header: dict, name: str, kind) -> object:
-    # JSON decodes to exact builtin types; an exact match keeps true/false
-    # out of integer fields, since bool is a subclass of int.
-    if name not in header:
-        raise FormatError(f"bundle header missing field {name!r}")
-    value = header[name]
-    if type(value) is not kind:
-        raise FormatError(f"bundle header field {name!r} has wrong type: {value!r}")
-    return value
+def _header_bytes(shape: MpoShape, ranks, dtype_name: str, has_residual: bool,
+                  block_size: int | None) -> bytes:
+    """The canonical JSON bundle header; ``block_size`` is None unless the residual is NF4."""
+    header = {
+        "in_factors": shape.in_factors,
+        "out_factors": shape.out_factors,
+        "ranks": ranks,
+        "dtype": dtype_name,
+        "has_residual": has_residual,
+        "residual_quantized": block_size is not None,
+        "block_size": block_size,
+        "original_rows": shape.rows,
+        "original_cols": shape.cols,
+    }
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def read_bundle(path) -> Bundle:
@@ -208,28 +204,25 @@ def read_bundle(path) -> Bundle:
 
 def _read_bundle(cursor: _Cursor) -> Bundle:
     (header_len,) = cursor.fields
+    raw = cursor.read(header_len, "declared header")
     try:
-        header = json.loads(cursor.read(header_len, "declared header"))
+        header = json.loads(raw)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"bundle header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("bundle header must be a JSON object")
 
-    in_factors = _header_field(header, "in_factors", list)
-    out_factors = _header_field(header, "out_factors", list)
-    ranks = _header_field(header, "ranks", list)
-    _, _, dtype = _dtype_entry(0, _header_field(header, "dtype", str))
-    has_residual = _header_field(header, "has_residual", bool)
-    quantized = _header_field(header, "residual_quantized", bool) and has_residual
-    rows = _header_field(header, "original_rows", int)
-    cols = _header_field(header, "original_cols", int)
-    block_size = _header_field(header, "block_size", int) if quantized else None
+    has_residual = header.get("has_residual") is True
+    quantized = has_residual and header.get("residual_quantized") is True
+    block_size = header.get("block_size") if quantized else None
     # RecursionError: naming a bad value nested near json's depth limit can overflow.
     try:
-        shape = MpoShape(in_factors, out_factors)
-        if (rows, cols) != (shape.rows, shape.cols):
-            raise FormatError(f"declared matrix {rows}x{cols} does not match factors "
-                              f"{shape.rows}x{shape.cols}")
+        shape = MpoShape(header.get("in_factors"), header.get("out_factors"))
+        rows, cols = shape.rows, shape.cols
+        ranks = header.get("ranks")
+        _, dtype_name, dtype = _dtype_entry(0, header.get("dtype"))
+        if raw != _header_bytes(shape, ranks, dtype_name, has_residual, block_size):
+            raise FormatError("bundle header is not the canonical one write_bundle writes")
         cores = [cursor.array(dtype, math.prod(s), f"core {k}", finite=True).reshape(s)
                  for k, s in enumerate(shape.core_shapes(ranks))]
         for core in cores:

@@ -24,6 +24,7 @@ from .mpo import (
     SHAPE_PRESETS,
     CoreChain,
     MpoShape,
+    _norm,
     mpo_decompose,
     reconstruct,
     truncated_ranks,
@@ -130,7 +131,7 @@ def make_task(
     )
     d_raw = reconstruct(delta_chain)
     d_norm = np.linalg.norm(d_raw)
-    if d_norm == 0.0 or delta_scale == 0.0:
+    if d_norm == 0.0:
         delta = np.zeros_like(w0)
     else:
         delta = d_raw * (delta_scale * np.linalg.norm(w0) / d_norm)
@@ -443,7 +444,11 @@ def summarize(logs: Sequence[TrainLog]) -> list[tuple[int, str, float, float]]:
     for method, group in evals.items():
         for step in sorted(set.intersection(*map(set, group))):
             vals = np.array([by_step[step] for by_step in group])
-            rows.append((step, method, float(vals.mean()), float(vals.std())))
+            with np.errstate(over="ignore"):
+                std = float(vals.std())
+            if std == math.inf:  # the squared deviations overflowed; the std may not
+                std = _norm(vals - vals.mean()) / math.sqrt(vals.size)
+            rows.append((step, method, float(vals.mean()), std))
     return rows
 
 

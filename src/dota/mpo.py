@@ -75,11 +75,11 @@ class MpoShape:
 
     def core_shapes(self, ranks: Sequence[int]) -> list[tuple[int, int, int, int]]:
         """Shapes (r_k, I_k, J_k, r_{k+1}) of the cores of a chain with bond
-        ranks (r_0, ..., r_N). Every rank must be an integer from 1 up to its
-        ceiling in :func:`max_ranks`, which also makes r_0 = r_N = 1."""
-        ranks, ceilings = tuple(ranks), max_ranks(self)
-        problem = (f"expected {len(ceilings)} ranks" if len(ranks) != len(ceilings)
-                   else _counts_problem(ranks, 1))
+        ranks (r_0, ..., r_N): a list or tuple of integers, each from 1 up to
+        its ceiling in :func:`max_ranks`, which also makes r_0 = r_N = 1."""
+        ceilings = max_ranks(self)
+        problem = _counts_problem(ranks, 1) or (
+            f"expected {len(ceilings)} ranks" if len(ranks) != len(ceilings) else None)
         if not problem and any(map(operator.gt, ranks, ceilings)):
             problem = f"above the ceilings {ceilings}"
         if problem:
@@ -208,11 +208,6 @@ def reorder_for_mpo(w: np.ndarray, shape: MpoShape) -> tuple[DenseTensor, tuple[
     return DenseTensor(interleaved), inverse
 
 
-def _zero_chain(shape: MpoShape, dtype) -> CoreChain:
-    ones = (1,) * (shape.n_cores + 1)
-    return CoreChain.from_arrays([np.zeros(s, dtype=dtype) for s in shape.core_shapes(ones)])
-
-
 # Columns of a wide unfolding per block QR: a 16-row block's transpose is 256 KB.
 _QR_BLOCK = 2048
 
@@ -239,8 +234,8 @@ def mpo_decompose(
     as core k and carries U_r^T A = S_r V_r^T forward. A wide A takes U_r from
     the small triangle R^T of A^T = QR, so neither Q nor V^T is ever formed.
     R comes from :func:`_r_factor`, blockwise for A wider than one block.
-    Untruncated, the chain reconstructs W exactly. The sweep runs in float64;
-    cores are cast back at the end.
+    Untruncated, the chain reconstructs W exactly. Every finite W, zero
+    included, takes this sweep; it runs in float64, and cores are cast back.
     """
     w = np.asarray(w)
     shape.check_matrix(w)
@@ -248,9 +243,6 @@ def mpo_decompose(
     if not np.all(np.isfinite(w)):
         raise NumericError("matrix contains non-finite entries")
     out_dtype = w.dtype if w.dtype.type in (np.float32, np.float64) else np.float64
-    if not w.any():
-        return _zero_chain(shape, out_dtype)
-
     m = reorder_for_mpo(w.astype(np.float64, copy=False), shape)[0].data
     cores: list[np.ndarray] = []
     for k, (r0, i, j, r1) in enumerate(sweep):
@@ -323,19 +315,33 @@ def param_count(shape: MpoShape, ranks: Sequence[int]) -> int:
     return sum(math.prod(s) for s in shape.core_shapes(ranks))
 
 
+# Below this norm, a sum of squares may have lost digits to underflow.
+_NORM_SAFE = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm at any finite scale: np.linalg.norm's value where its sum
+    of squares can neither overflow nor underflow, or where x is zero or not
+    finite; else that of x / max|x| times max|x|, as LAPACK's dnrm2 scales."""
+    with np.errstate(over="ignore", under="ignore"):
+        n = float(np.linalg.norm(x))
+        big = 0.0 if _NORM_SAFE <= n < math.inf else float(np.abs(x).max(initial=0.0))
+        return big * float(np.linalg.norm(x / big)) if 0.0 < big < math.inf else n
+
+
 def _residual_error(w: np.ndarray, chain: CoreChain) -> tuple[np.ndarray, float]:
     """The float64 residual W - reconstruct(chain) and its Frobenius norm
     relative to W's. NumericError if either holds a non-finite entry (or
     their norms overflow)."""
     w = np.asarray(w, dtype=np.float64)
     chain.shape.check_matrix(w)
-    denom = float(np.linalg.norm(w))
+    denom = _norm(w)
     # Non-finite entries skip the contraction and subtraction, where inf - inf would warn.
     if not (math.isfinite(denom) and all(np.isfinite(c.data).all() for c in chain.cores)):
         raise NumericError("non-finite entries in the matrix or the chain")
     d = reconstruct(chain).astype(np.float64, copy=False)
     np.subtract(w, d, out=d)  # in place: d is fresh, and one full-size array is enough
-    diff = float(np.linalg.norm(d))
+    diff = _norm(d)
     if not math.isfinite(diff):
         raise NumericError("non-finite entries in the matrix or the chain")
     if denom == 0.0:

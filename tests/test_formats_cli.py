@@ -30,14 +30,28 @@ def rand(shape, seed=0, dtype=np.float64):
     return np.random.default_rng(seed).normal(size=shape).astype(dtype)
 
 
+def header_fields(blob: bytes) -> dict:
+    """A bundle's JSON header, parsed."""
+    return json.loads(blob[9 : 9 + int.from_bytes(blob[5:9], "little")])
+
+
+def canonical(fields: dict) -> bytes:
+    """A header as write_bundle serializes it."""
+    return json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+
+
+def with_header(blob: bytes, header: bytes) -> bytes:
+    """A bundle's bytes with its JSON header and declared length replaced."""
+    n = int.from_bytes(blob[5:9], "little")
+    return blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + n :]
+
+
 def set_header_field(path, field, value) -> None:
     """Rewrite one field of a bundle's JSON header and its declared length."""
     blob = path.read_bytes()
-    n = int.from_bytes(blob[5:9], "little")
-    header = json.loads(blob[9 : 9 + n])
+    header = header_fields(blob)
     header[field] = value
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(blob[:5] + len(raw).to_bytes(4, "little") + raw + blob[9 + n :])
+    path.write_bytes(with_header(blob, canonical(header)))
 
 
 class TestMatrixFile:
@@ -368,7 +382,7 @@ class TestFuzz:
             else:
                 fields = json.loads(header)
                 fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON_VALUE)
-                header = json.dumps(fields).encode()
+                header = canonical(fields)
             blob = blob[:5] + len(header).to_bytes(4, "little") + header + blob[9 + n :]
         path = d / "mutated"
         path.write_bytes(blob)
@@ -376,6 +390,55 @@ class TestFuzz:
             (read_matrix if name == "dotm" else read_bundle)(path)
         except FormatError:
             pass
+
+
+class TestCanonicalHeader:
+    """The reader accepts only the header that write_bundle writes."""
+
+    @staticmethod
+    def read_and_rewrite(d, blob: bytes) -> bytes | None:
+        """The bytes write_bundle gives for what read_bundle makes of ``blob``,
+        or None if the reader refuses it."""
+        (d / "mutated").write_bytes(blob)
+        try:
+            bundle = read_bundle(d / "mutated")
+        except FormatError:
+            return None
+        write_bundle(d / "rewritten", bundle.chain, bundle.residual)
+        return (d / "rewritten").read_bytes()
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_accepted_field_mutations_rewrite_to_their_bytes(self, valid_files, data):
+        d, blobs = valid_files
+        blob = blobs[data.draw(st.sampled_from(["dotc", "dotc-dense", "dotc-nf4"]))]
+        assert self.read_and_rewrite(d, blob) == blob
+        fields = header_fields(blob)
+        field = data.draw(st.sampled_from(sorted(fields)))
+        if data.draw(st.booleans()):
+            fields[field] = data.draw(_JSON_VALUE)
+        else:
+            del fields[field]
+        blob = with_header(blob, canonical(fields))
+        assert self.read_and_rewrite(d, blob) in (None, blob)
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("dotc", "residual_quantized", True),
+        ("dotc", "block_size", "junk"),
+        ("dotc-dense", "block_size", 4),
+    ])
+    def test_rejects_fields_the_writer_never_writes(self, valid_files, name, field, value):
+        d, blobs = valid_files
+        fields = header_fields(blobs[name])
+        fields[field] = value
+        assert self.read_and_rewrite(d, with_header(blobs[name], canonical(fields))) is None
+
+    @pytest.mark.parametrize("name", ["dotc", "dotc-dense", "dotc-nf4"])
+    def test_rejects_the_header_in_other_json_formatting(self, valid_files, name):
+        d, blobs = valid_files
+        fields = header_fields(blobs[name])
+        blob = with_header(blobs[name], json.dumps(fields).encode())
+        assert self.read_and_rewrite(d, blob) is None
 
 
 class TestCliDecomposeReconstruct:
@@ -399,6 +462,20 @@ class TestCliDecomposeReconstruct:
         assert code == 0
         back = read_matrix(out_matrix)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) <= 1e-5
+
+    @pytest.mark.parametrize("scale", [1e154, 1e-200, 2.0**-1050])
+    def test_decompose_reports_the_error_at_any_scale(self, tmp_path, capsys, scale):
+        # 2^-1050 makes every entry subnormal. A warning fails the test
+        # (filterwarnings), so no norm may over- or underflow.
+        src, scaled = tmp_path / "w.dotm", rand((64, 64), seed=7) * scale
+        errors = []
+        for w in (scaled / scale, scaled):  # the first unscaled from the stored matrix
+            write_matrix(src, w)
+            assert main(["decompose", "--input", str(src), "--shape-in", "4,4,4", "--shape-out",
+                         "4,4,4", "--rank", "8", "--out", str(tmp_path / "w.dotc")]) == 0
+            errors.append(json.loads(capsys.readouterr().out)["relative_truncation_error"])
+        assert errors[1] == pytest.approx(errors[0], rel=1e-6)
+        assert errors[0] > 0.5
 
     def test_preset_shapes_and_reported_params(self, tmp_path, capsys):
         src = tmp_path / "w.dotm"

@@ -367,8 +367,7 @@ class TestAblate:
         for lr, eval_every, steps in itertools.product((0.1, 5, 1e3, 1e6), (1, 3, 7), (0, 1, 40)):
             config = self.config(lr=lr, eval_every=eval_every, steps=steps, seeds=[14, 15],
                                  methods=list(methods))
-            with np.errstate(over="ignore"):  # the summary's std of losses near 1e287
-                logs, _ = ablate(config)
+            logs, _ = ablate(config)
             expected = []
             for seed in config.seeds:
                 task = make_task(SHAPE_64, r_delta=8, delta_scale=0.05, seed=seed)
@@ -492,3 +491,16 @@ def test_summarize_skips_steps_missing_from_any_seed():
     rows = summarize([log_a, log_b])
     steps = [r[0] for r in rows]
     assert steps == sorted(set(log_a.steps) & set(log_b.steps))
+
+
+def test_summarize_std_of_finite_losses_at_any_scale():
+    for losses in ([4.77e281, 2.10e287], [1e307, 3e306, 1e307], [1.5, 2.5, 0.25]):
+        logs = [dota.harness.TrainLog("dota", seed, {}, 1, [(0, 1.0, loss)])
+                for seed, loss in enumerate(losses)]
+        (_, _, mean, std), = summarize(logs)
+        vals = np.array(losses)
+        assert mean == float(vals.mean())
+        if max(losses) < 1e100:
+            assert std == float(vals.std())  # the plain path, bit for bit
+        else:
+            assert std == pytest.approx(float((vals / 1e300).std()) * 1e300, rel=1e-12)

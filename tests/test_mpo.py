@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dota import (
@@ -218,12 +218,26 @@ class TestDecompose:
         limits = truncated_ranks(shape, 5)
         assert all(r <= lim for r, lim in zip(chain.ranks, limits))
 
-    def test_zero_matrix_gives_zero_rank_one_chain(self):
+    def test_zero_matrix_takes_the_sweep(self):
         shape = MpoShape.square([2, 2, 2])
         chain = mpo_decompose(np.zeros((8, 8)), shape)
-        assert chain.ranks == (1, 1, 1, 1)
-        assert all(not c.data.any() for c in chain.cores)
+        assert chain.ranks == truncated_ranks(shape, None)
+        for core in chain.cores[:-1]:  # orthonormal columns, so the chain can train
+            u = core.data.reshape(-1, core.shape[-1])
+            assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        assert not reconstruct(chain).any()
         assert reconstruction_error(np.zeros((8, 8)), chain) == 0.0
+
+    @given(kind=st.sampled_from(["zero", "rank-one", "random"]),
+           factors=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1,
+                            max_size=4),
+           rank=st.none() | st.integers(1, 6), seed=st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_ranks_depend_on_shape_and_threshold_alone(self, kind, factors, rank, seed):
+        shape = MpoShape(*zip(*factors))
+        w = rand((shape.rows, shape.cols), seed)
+        w = {"zero": np.zeros_like(w), "rank-one": np.outer(w[:, 0], w[0]), "random": w}[kind]
+        assert mpo_decompose(w, shape, rank).ranks == truncated_ranks(shape, rank)
 
     def test_non_finite_rejected(self):
         w = rand((4, 4))
@@ -493,6 +507,18 @@ class TestReconstructionError:
             for r in (1, 2, 4, 8, 16)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+
+    @given(k=st.integers(-1000, 1000))
+    @example(k=-1000)
+    @example(k=1000)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_power_of_two_scaling_keeps_the_error(self, k):
+        # 2^k scales W exactly, so only a norm that under- or overflows moves the error
+        shape, w = MpoShape.square([4, 4, 4]), rand((64, 64), seed=17)
+        want = reconstruction_error(w, mpo_decompose(w, shape, 8))
+        scaled = w * 2.0**k
+        got = reconstruction_error(scaled, mpo_decompose(scaled, shape, 8))
+        assert abs(got - want) <= 1e-12 * want
 
     def test_zero_matrix_zero_chain(self):
         chain = mpo_decompose(np.zeros((4, 4)), MpoShape.square([2, 2]))

@@ -321,6 +321,15 @@ def test_step_takes_any_real_rate_as_a_float(init):
     assert adapter.merge().tobytes() == before
 
 
+@pytest.mark.parametrize("init", [dota_init, qdota_init])
+def test_adapter_of_a_zero_weight_trains(init):
+    adapter = init(np.zeros((64, 64)), MpoShape.square([4, 4, 4]), 8)
+    before = adapter.merge()
+    grads, _ = adapter.backward(rand((8, 64), seed=22, scale=1.0), rand((8, 64), seed=23))
+    adapter.apply_gradients(grads, 0.1)
+    assert (adapter.merge() != before).any()
+
+
 class TestInitResidual:
     """dota_init and qdota_init subtract W0 in place into the reconstruction."""
 
