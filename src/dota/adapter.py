@@ -68,7 +68,7 @@ def _sweep_states(chain: CoreChain, batch: int) -> tuple[list, list]:
     """Shapes (P, c, Q) of the batch state at each core k, in the left sweep
     of x (c = r_k * I_k) and in the right sweep of dy (c = J_k * r_{k+1}).
     P is the batch times the output modes J_<k, Q the input modes I_>k."""
-    i, j, r = chain.in_factors, chain.out_factors, chain.ranks
+    i, j, r = chain.shape.in_factors, chain.shape.out_factors, chain.ranks
     pq = [(batch * math.prod(j[:k]), math.prod(i[k + 1:])) for k in range(len(chain))]
     return ([(p, r[k] * i[k], q) for k, (p, q) in enumerate(pq)],
             [(p, j[k] * r[k + 1], q) for k, (p, q) in enumerate(pq)])
@@ -87,10 +87,10 @@ def _sweep_is_cheaper(chain: CoreChain, batch: int) -> bool:
     one later, so the count errs towards the dense path."""
     sizes = [c.size for c in chain.cores]
     sweep = sum(p * q * s for (p, _, q), s in zip(_sweep_states(chain, batch)[0], sizes))
-    modes = [i * j for i, j in zip(chain.in_factors, chain.out_factors)]
+    shape = chain.shape
+    modes = [i * j for i, j in zip(shape.in_factors, shape.out_factors)]
     rebuild = sum(math.prod(modes[:k]) * s for k, s in enumerate(sizes))
-    area = chain.shape.rows * chain.shape.cols
-    return sweep <= (batch + 1) * area + rebuild
+    return sweep <= (batch + 1) * shape.rows * shape.cols + rebuild
 
 
 def _sweep(a: np.ndarray, mats: Sequence[np.ndarray], states) -> Iterator[np.ndarray]:

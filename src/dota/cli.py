@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import DotaError, ShapeError
+from .errors import DotaError, ShapeError, _count_problem
 from .fileio import read_bundle, read_matrix, write_bundle, write_matrix
 from .harness import AblationConfig, ablate, write_summary_csv
 # reconstruction_error is unused here; the benchmark's tracer wraps cli.reconstruction_error.
@@ -41,6 +41,18 @@ def _factor_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad factor list {text!r}: {exc}") from exc
 
 
+def _count_arg(text: str) -> int:
+    """An integer >= 1, checked at parse time by the library's count rule."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text  # refused below as not an integer
+    problem = _count_problem(value, 1)
+    if problem:
+        raise argparse.ArgumentTypeError(problem)
+    return value
+
+
 def _preset_or_fail(dim: int, which: str) -> tuple[int, ...]:
     if dim in SHAPE_PRESETS:
         return SHAPE_PRESETS[dim]
@@ -64,10 +76,6 @@ def _cmd_decompose(args) -> int:
         shape.check_matrix(w)
     except ShapeError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.rank is not None and args.rank < 1:
-        raise _UsageError(f"--rank must be >= 1, got {args.rank}")
-    if args.block_size < 1:
-        raise _UsageError(f"--block-size must be >= 1, got {args.block_size}")
 
     chain = mpo_decompose(w, shape, args.rank)
     # The chain is reconstructed once; for float64 input d is the residual itself.
@@ -144,11 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="row factors, e.g. 4,4,8,8,4 (default: preset for the dimension)")
     p.add_argument("--shape-out", type=_factor_list, default=None,
                    help="column factors (default: preset for the dimension)")
-    p.add_argument("--rank", type=int, default=None,
+    p.add_argument("--rank", type=_count_arg, default=None,
                    help="bond rank threshold (default: untruncated)")
     p.add_argument("--quantize-residual", action="store_true",
                    help="store the residual in blockwise NF4")
-    p.add_argument("--block-size", type=int, default=64,
+    p.add_argument("--block-size", type=_count_arg, default=64,
                    help="NF4 quantization block size (default 64)")
     p.add_argument("--out", required=True, help="output bundle file (DOTC)")
     p.set_defaults(func=_cmd_decompose)

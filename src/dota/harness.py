@@ -24,7 +24,6 @@ from .mpo import (
     SHAPE_PRESETS,
     CoreChain,
     MpoShape,
-    _norm,
     mpo_decompose,
     reconstruct,
     truncated_ranks,
@@ -130,11 +129,8 @@ def make_task(
         base.cores[:-1] + (DenseTensor(projected.reshape(last.shape)),)
     )
     d_raw = reconstruct(delta_chain)
-    d_norm = np.linalg.norm(d_raw)
-    if d_norm == 0.0:
-        delta = np.zeros_like(w0)
-    else:
-        delta = d_raw * (delta_scale * np.linalg.norm(w0) / d_norm)
+    # Nonzero: the earlier cores are orthonormal, so ||d_raw|| = ||projected|| > 0.
+    delta = d_raw * (delta_scale * np.linalg.norm(w0) / np.linalg.norm(d_raw))
     return SyntheticTask(
         w0=w0,
         w_star=w0 + delta,
@@ -373,6 +369,9 @@ class AblationConfig:
         if not isinstance(methods, (list, tuple)) or not methods \
                 or not all(m in METHODS for m in methods):
             problems["methods"] = f"expected a non-empty subset of {list(METHODS)}, got {methods!r}"
+        for key in ("seeds", "methods"):  # each run writes one CSV per method and seed
+            if not problems.get(key) and len(set(c[key])) < len(c[key]):
+                problems[key] = f"expected no repeated entries, got {c[key]!r}"
         dims = c["dims"] if isinstance(c["dims"], (list, tuple)) else [c["dims"]] * 2
         problems["dims"] = (
             _counts_problem(dims, 1) if len(dims) == 2
@@ -444,11 +443,10 @@ def summarize(logs: Sequence[TrainLog]) -> list[tuple[int, str, float, float]]:
     for method, group in evals.items():
         for step in sorted(set.intersection(*map(set, group))):
             vals = np.array([by_step[step] for by_step in group])
-            with np.errstate(over="ignore"):
-                std = float(vals.std())
-            if std == math.inf:  # the squared deviations overflowed; the std may not
-                std = _norm(vals - vals.mean()) / math.sqrt(vals.size)
-            rows.append((step, method, float(vals.mean()), std))
+            e = math.frexp(np.abs(vals).max())[1]  # 2^-e scales vals into [-1, 1]: no sum overflows
+            scaled = np.ldexp(vals, -e)  # by a power of two, so numpy's roundings are unchanged
+            mean, std = np.ldexp([scaled.mean(), scaled.std()], e)
+            rows.append((step, method, float(mean), float(std)))
     return rows
 
 

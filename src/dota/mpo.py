@@ -129,14 +129,6 @@ class CoreChain:
         """Bond ranks (r_0, ..., r_N) with r_0 = r_N = 1."""
         return tuple(c.shape[0] for c in self.cores) + (1,)
 
-    @property
-    def in_factors(self) -> tuple[int, ...]:
-        return self.shape.in_factors
-
-    @property
-    def out_factors(self) -> tuple[int, ...]:
-        return self.shape.out_factors
-
     @cached_property
     def shape(self) -> MpoShape:
         """Built once per chain; the chain is immutable."""

@@ -1,10 +1,10 @@
 """Blockwise 4-bit NormalFloat quantization of frozen residual matrices.
 
-The 16-level codebook places levels at equal-probability quantiles of a
-standard normal, with an exact zero and both endpoints normalized to +-1.
-Quantization is absmax-blockwise: each block of consecutive row-major
-elements is scaled into [-1, 1] by its largest magnitude and each element
-is rounded to the nearest level. Codes are packed two per byte.
+NF4's one fixed codebook places 16 levels at equal-probability quantiles of
+a standard normal, with an exact zero and both endpoints at +-1; its tables
+are built once, at import. Quantization is absmax-blockwise: each block of
+consecutive row-major elements is scaled into [-1, 1] by its largest
+magnitude and each element is rounded to the nearest level (two codes a byte).
 
 Both directions work on chunks of whole blocks, about 256 KB of float64
 each and always an even element count, so each chunk packs into whole
@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError, _count_problem, _reject
+from .errors import NumericError, ShapeError, _count_problem, _reject
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
 # chain_gradients is unused here; the benchmark's tracer wraps quant.chain_gradients.
 from .adapter import DotaAdapter, chain_gradients
@@ -72,39 +72,24 @@ def derive_nf4_levels() -> tuple[float, ...]:
     return tuple(float(v) for v in levels)
 
 
-@dataclass(frozen=True)
 class NF4Codebook:
-    """The 16 scalar levels, strictly increasing from -1 to +1 through 0."""
+    """The 16 NF4 levels, rising from -1 to +1 through 0, and read-only tables all callers share."""
 
-    levels: tuple[float, ...]
+    levels = NF4_LEVELS
+    zero_code = NF4_LEVELS.index(0.0)
+    max_gap = max(b - a for a, b in zip(NF4_LEVELS, NF4_LEVELS[1:]))
 
-    def __post_init__(self):
-        lv = tuple(float(v) for v in self.levels)
-        if len(lv) != 16:
-            raise ParameterError(f"expected 16 levels, got {len(lv)}")
-        if any(b <= a for a, b in zip(lv, lv[1:])):
-            raise ParameterError("levels must be strictly increasing")
-        if lv[0] != -1.0 or lv[-1] != 1.0 or 0.0 not in lv:
-            raise ParameterError("levels must span [-1, 1] and contain 0")
-        object.__setattr__(self, "levels", lv)
+    def __init__(self):
         # The encode table: per bin, how many midpoints lie in lower bins, and
         # the midpoint in the bin itself (2.0, above every value, if none).
-        midpoints = (np.array(lv[:-1]) + np.array(lv[1:])) / 2.0
+        midpoints = (np.array(self.levels[:-1]) + np.array(self.levels[1:])) / 2.0
         bins = _bin(midpoints)
-        if np.any(bins[1:] == bins[:-1]):
-            raise ParameterError(f"levels must leave at most one midpoint per 1/{_BINS} bin")
-        thr = np.full(2 * _BINS + 1, 2.0)
-        thr[bins] = midpoints
-        below = np.searchsorted(bins, np.arange(thr.size)).astype(np.uint8)
-        object.__setattr__(self, "_table", (below, thr))
-
-    @property
-    def zero_code(self) -> int:
-        return self.levels.index(0.0)
-
-    @property
-    def max_gap(self) -> float:
-        return max(b - a for a, b in zip(self.levels, self.levels[1:]))
+        self._thr = np.full(2 * _BINS + 1, 2.0)
+        self._thr[bins] = midpoints
+        self._below = np.searchsorted(bins, np.arange(self._thr.size)).astype(np.uint8)
+        # dequantize_nf4's gather table: both decoded codes of each byte, low nibble first.
+        self._pairs = self.decode(_nibbles(np.arange(256, dtype=np.uint8)))
+        self._thr.flags.writeable = self._below.flags.writeable = self._pairs.flags.writeable = False
 
     def encode(self, normalized: np.ndarray) -> np.ndarray:
         """Nearest-level code for values in [-1, 1]; ties go to the lower code.
@@ -124,9 +109,8 @@ class NF4Codebook:
 
     def _encode(self, x: np.ndarray) -> np.ndarray:
         """:meth:`encode` of float64 values already in [-1, 1]."""
-        below, thr = self._table
         b = _bin(x)
-        return below[b] + (x > thr[b])
+        return self._below[b] + (x > self._thr[b])
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         return np.asarray(self.levels)[codes]
@@ -140,7 +124,7 @@ def _bin(x: np.ndarray) -> np.ndarray:
 
 
 def nf4_codebook() -> NF4Codebook:
-    return NF4Codebook(NF4_LEVELS)
+    return _CODEBOOK
 
 
 def _pack_codes(codes: np.ndarray) -> np.ndarray:
@@ -162,6 +146,9 @@ def _chunks(n_elements: int, block_size: int):
 def _nibbles(packed: np.ndarray) -> np.ndarray:
     """The two codes of each byte along a new last axis, low nibble first."""
     return np.stack([packed & 0x0F, packed >> 4], axis=-1)
+
+
+_CODEBOOK = NF4Codebook()
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +206,6 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
     if w.ndim != 2:
         raise ShapeError(f"expected a matrix, got order-{w.ndim} input")
     n_packed, n_blocks = QuantizedMatrix.layout(w.size, block_size)
-    book = nf4_codebook()
     dtype = w.dtype if w.dtype.type in (np.float32, np.float64) else np.dtype(np.float64)
 
     flat = w.reshape(-1)
@@ -235,7 +221,7 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
         scales[b0 : b0 + s.size] = s
         # An all-zero block divides by 1 instead of 0; its zeros encode to the zero code.
         blocks /= np.where(s == 0.0, 1.0, s)[:, None]
-        packed[e0 // 2 : (e1 + 1) // 2] = _pack_codes(book._encode(blocks).reshape(-1)[: e1 - e0])
+        packed[e0 // 2 : (e1 + 1) // 2] = _pack_codes(_CODEBOOK._encode(blocks).reshape(-1)[: e1 - e0])
 
     absmax = scales.astype(dtype, copy=False)
     packed.flags.writeable = absmax.flags.writeable = False  # fresh, so adopted without a copy
@@ -253,11 +239,10 @@ def dequantize_nf4(q: QuantizedMatrix) -> np.ndarray:
     """Decode every element as codebook[code] * block scale, chunk by chunk
     straight into the output: one gather from a table of both codes of each
     byte value, then one multiply by the block scales, in float64."""
-    pairs = nf4_codebook().decode(_nibbles(np.arange(256, dtype=np.uint8)))
     scales = q.absmax.astype(np.float64, copy=False)
     bs, out = q.block_size, np.empty(q.n_elements, dtype=q.dtype)
     for b0, e0, e1 in _chunks(q.n_elements, bs):
-        values = np.take(pairs, q.packed[e0 // 2 : (e1 + 1) // 2], axis=0).reshape(-1)[: e1 - e0]
+        values = np.take(_CODEBOOK._pairs, q.packed[e0 // 2 : (e1 + 1) // 2], axis=0).reshape(-1)[: e1 - e0]
         full = (e1 - e0) // bs * bs  # the rest is the last, partial block
         np.multiply(values[:full].reshape(-1, bs), scales[b0 : b0 + full // bs, None],
                     out=out[e0 : e0 + full].reshape(-1, bs))

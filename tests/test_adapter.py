@@ -49,7 +49,8 @@ def einsum_chain_gradients(chain, dw):
     with einsum, then one three-operand einsum per core."""
     n = len(chain)
     cores = [c.data.astype(np.float64) for c in chain.cores]
-    prods = [i * j for i, j in zip(chain.in_factors, chain.out_factors)]
+    shape = chain.shape
+    prods = [i * j for i, j in zip(shape.in_factors, shape.out_factors)]
     left = [np.ones((1, 1))]
     for k in range(n - 1):
         r0, _, _, r1 = cores[k].shape
@@ -60,7 +61,7 @@ def einsum_chain_gradients(chain, dw):
         r0, _, _, r1 = cores[k + 1].shape
         grown = np.einsum("amb,br->amr", cores[k + 1].reshape(r0, prods[k + 1], r1), right[k + 1])
         right[k] = grown.reshape(r0, -1)
-    separated = dw.reshape(chain.in_factors + chain.out_factors)
+    separated = dw.reshape(shape.in_factors + shape.out_factors)
     flat = np.transpose(separated, [a for k in range(n) for a in (k, n + k)]).reshape(-1)
     grads = []
     for k in range(n):

@@ -556,13 +556,16 @@ class TestCliDecomposeReconstruct:
 
     @pytest.mark.parametrize("flag, value", [
         ("--shape-in", "4,0"), ("--shape-out", "0"), ("--shape-in", "2.5"),
+        ("--rank", "0"), ("--block-size", "0"), ("--rank", "2.5"),
     ])
     def test_bad_factor_is_usage_error_before_reading_input(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o.dotc"
         with pytest.raises(SystemExit) as excinfo:
-            main(["decompose", "--input", str(tmp_path / "missing.dotm"), flag, value,
-                  "--out", str(tmp_path / "o.dotc")])
+            main(["decompose", "--input", str(tmp_path / "missing.dotm"), "--quantize-residual",
+                  flag, value, "--out", str(out)])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_preset_for_dimension_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "w.dotm"
@@ -570,25 +573,6 @@ class TestCliDecomposeReconstruct:
         code = main(["decompose", "--input", str(src), "--out", str(tmp_path / "o.dotc")])
         assert code == 2
         assert "preset" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--rank", "--block-size"])
-    def test_bad_integer_option_is_usage_error_before_decomposing(
-        self, tmp_path, capsys, monkeypatch, flag
-    ):
-        def no_decompose(*args, **kwargs):
-            raise AssertionError("decomposed before rejecting the option")
-
-        monkeypatch.setattr("dota.cli.mpo_decompose", no_decompose)
-        src = tmp_path / "w.dotm"
-        write_matrix(src, rand((16, 16), seed=10))
-        out = tmp_path / "o.dotc"
-        code = main([
-            "decompose", "--input", str(src), "--shape-in", "4,4", "--shape-out", "4,4",
-            "--quantize-residual", flag, "0", "--out", str(out),
-        ])
-        assert code == 2
-        assert flag in capsys.readouterr().err
-        assert not out.exists()
 
     def test_corrupt_input_is_runtime_error(self, tmp_path, capsys):
         src = tmp_path / "w.dotm"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dota.harness
 from dota import (
@@ -142,8 +144,12 @@ class TestRandomInit:
 
 class TestTask:
     def test_perturbation_ratio_recorded(self):
-        task = small_task(seed=2, delta_scale=0.05)
-        assert task.delta_fro_ratio == pytest.approx(0.05, rel=1e-12)
+        # [2, 2] at r_delta 4 leaves the draw nothing to project out of, and
+        # [6] is a single core, so delta is the draw itself
+        for shape, r_delta in ((SHAPE_64, 4), (MpoShape.square([2, 2]), 4),
+                               (MpoShape.square([6]), 1)):
+            task = make_task(shape, r_delta=r_delta, delta_scale=0.05, seed=2)
+            assert task.delta_fro_ratio == pytest.approx(0.05, rel=1e-12)
 
     def test_delta_has_bounded_tensor_rank(self):
         task = small_task(seed=3, r_delta=4)
@@ -428,6 +434,17 @@ class TestConfigValidation:
         for token in ("dims", "R", "steps", "lr", "seeds", "methods", "bogus"):
             assert token in message
 
+    def test_repeated_seeds_and_methods_are_named(self):
+        # each (method, seed) run writes its own CSV, so a repeat would overwrite
+        # one and count twice in the summary
+        with pytest.raises(ParameterError) as excinfo:
+            AblationConfig.from_dict(
+                dict(dims=64, shapes=[4, 4, 4], R=2, steps=1, lr=0.1, seeds=[1, 1, 2],
+                     methods=["dota", "lora", "dota"], r_delta=2, delta_scale=0.05)
+            )
+        message = str(excinfo.value)
+        assert "seeds" in message and "methods" in message
+
     def test_shape_product_mismatch(self):
         with pytest.raises(ParameterError) as excinfo:
             AblationConfig.from_dict(
@@ -493,11 +510,29 @@ def test_summarize_skips_steps_missing_from_any_seed():
     assert steps == sorted(set(log_a.steps) & set(log_b.steps))
 
 
+def _one_step_logs(losses):
+    return [dota.harness.TrainLog("dota", seed, {}, 1, [(0, 1.0, float(loss))])
+            for seed, loss in enumerate(losses)]
+
+
+@given(st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=40))
+@settings(deadline=None, max_examples=200)
+def test_summarize_is_numpys_mean_and_std(losses):
+    (_, _, mean, std), = summarize(_one_step_logs(losses))
+    vals = np.array(losses)
+    assert mean == float(vals.mean()) and std == float(vals.std())
+
+
+def test_summarize_mean_of_many_huge_losses():
+    # the plain sum of 20 x 1e307 overflows; the suite's -W error would raise
+    (_, _, mean, std), = summarize(_one_step_logs([1e307] * 20))
+    assert mean == pytest.approx(1e307, rel=1e-15)
+    assert std <= 1e307 * 1e-15
+
+
 def test_summarize_std_of_finite_losses_at_any_scale():
     for losses in ([4.77e281, 2.10e287], [1e307, 3e306, 1e307], [1.5, 2.5, 0.25]):
-        logs = [dota.harness.TrainLog("dota", seed, {}, 1, [(0, 1.0, loss)])
-                for seed, loss in enumerate(losses)]
-        (_, _, mean, std), = summarize(logs)
+        (_, _, mean, std), = summarize(_one_step_logs(losses))
         vals = np.array(losses)
         assert mean == float(vals.mean())
         if max(losses) < 1e100:

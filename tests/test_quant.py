@@ -14,7 +14,6 @@ from dota import (
     CoreGradients,
     DotaAdapter,
     MpoShape,
-    NF4Codebook,
     NF4_LEVELS,
     NumericError,
     ParameterError,
@@ -123,17 +122,19 @@ class TestCodebook:
         assert codes.tolist() == [0, 0, 0, 15, 15, 15]
 
     def test_midpoints_sit_well_inside_their_table_bins(self):
-        # The table lookup is exact regardless; the margin shows that a value
+        # The table holds one midpoint per bin, so no two may share one. The
+        # lookup is exact regardless of the margin; it shows that a value
         # rounded by far more than float64's x + 1 would still get its code.
         levels = np.array(NF4_LEVELS)
         position = ((levels[:-1] + levels[1:]) / 2.0 + 1.0) * _BINS
+        assert np.all(np.diff(np.floor(position)) > 0)
         assert np.abs(position - np.round(position)).min() >= 1e-3
 
-    def test_levels_too_close_for_the_table_are_rejected(self):
-        levels = list(NF4_LEVELS)
-        levels[8], levels[9] = 1e-5, 2e-5  # midpoints 5e-6 and 1.5e-5 share a bin
-        with pytest.raises(ParameterError):
-            NF4Codebook(tuple(levels))
+    def test_one_codebook_built_once(self):
+        book = nf4_codebook()
+        assert book is nf4_codebook() and book.levels == NF4_LEVELS
+        # every caller shares the tables, so none may write to them
+        assert not any(t.flags.writeable for t in (book._thr, book._below, book._pairs))
 
 
 class TestQuantize:
