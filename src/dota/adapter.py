@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, _number_problem
-from .mpo import CoreChain, MpoShape, _left_sweep, mpo_decompose, reconstruct
+from .mpo import CoreChain, MpoShape, _lead_axes, _left_sweep, mpo_decompose, reconstruct
 from .tensor_core import _as_readonly
 
 
@@ -44,24 +44,28 @@ class CoreGradients:
 
 
 def chain_gradients(chain: CoreChain, dw: np.ndarray) -> CoreGradients:
-    """Gradients of sum(dw * reconstruct(chain)) w.r.t. every core.
-
-    With L_k from the left sweep and E the interleaved dw contracted with
-    cores k+1..N-1, the gradient of core k is L_k^T @ E; E then absorbs
-    core k for the next core to the left.
-    """
-    shape = chain.shape
+    """Gradients of sum(dw * reconstruct(chain)) w.r.t. every core."""
     dw = np.asarray(dw, dtype=np.float64)
-    shape.check_matrix(dw)
-    e = np.ascontiguousarray(np.transpose(
-        dw.reshape(shape.in_factors + shape.out_factors), shape._axes[1]))
-    lefts = list(islice(_left_sweep(chain), len(chain)))
+    chain.shape.check_matrix(dw)
+    cores = [c.data for c in chain.cores]
+    lefts = list(islice(_left_sweep(cores), len(chain)))
+    return CoreGradients(tuple(_core_gradients(cores, lefts, dw, chain.shape)))
+
+
+def _core_gradients(cores, lefts, dw: np.ndarray, shape: MpoShape) -> list[np.ndarray]:
+    """:func:`chain_gradients` of the core arrays from their left states L_0..L_{N-1}; they
+    and the float64 dw may share a leading stack axis. With E the interleaved dw contracted
+    with cores k+1..N-1, core k's gradient is L_k^T @ E; E then absorbs core k."""
+    lead = dw.shape[:-2]
+    e = np.ascontiguousarray(np.transpose(dw.reshape(lead + shape.in_factors + shape.out_factors),
+                                          _lead_axes(len(lead), shape._axes[1])))
     grads = []
-    for left, core in zip(reversed(lefts), reversed(chain.cores)):
-        e = e.reshape(left.shape[0], -1)
-        grads.append((left.T @ e).reshape(core.shape))
-        e = e @ core.data.astype(np.float64, copy=False).reshape(core.shape[0], -1).T
-    return CoreGradients(tuple(reversed(grads)))
+    for left, core in zip(reversed(lefts), reversed(cores)):
+        e = e.reshape(lead + (left.shape[-2], -1))
+        grads.append((np.swapaxes(left, -1, -2) @ e).reshape(core.shape))
+        core = core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))
+        e = e @ np.swapaxes(core, -1, -2)
+    return grads[::-1]
 
 
 def _sweep_states(chain: CoreChain, batch: int) -> tuple[list, list]:

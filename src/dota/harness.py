@@ -17,13 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapter import DotaAdapter, chain_gradients, dota_init
-from .errors import (DotaError, ParameterError, ShapeError, _count_problem, _counts_problem,
-                     _number_problem, _reject)
+from .adapter import _core_gradients, dota_init
+from .errors import (DotaError, NumericError, ParameterError, ShapeError, _count_problem,
+                     _counts_problem, _number_problem, _reject)
 from .mpo import (
     SHAPE_PRESETS,
     CoreChain,
     MpoShape,
+    _as_matrix,
+    _left_sweep,
     mpo_decompose,
     reconstruct,
     truncated_ranks,
@@ -233,103 +235,124 @@ class TrainLog:
             fh.write("\n".join(self.csv_lines()) + "\n")
 
 
-@dataclass(eq=False)
-class _DenseWeight:
-    """Full fine-tuning: every entry of the weight is trainable."""
-
-    w: np.ndarray
-
-    @property
-    def trainable_params(self) -> int:
-        return self.w.size
-
-    def effective_weight(self) -> np.ndarray:
-        return self.w
-
-    def gradient_step(self, dw: np.ndarray, lr: float) -> None:
-        self.w = self.w - lr * dw
-
-
-@dataclass
-class _ChainWeight:
-    """A core chain over a frozen residual, stepped through its core gradients."""
-
-    adapter: DotaAdapter
-
-    @property
-    def trainable_params(self) -> int:
-        return self.adapter.trainable_params
-
-    def effective_weight(self) -> np.ndarray:
-        return self.adapter.merge()
-
-    def gradient_step(self, dw: np.ndarray, lr: float) -> None:
-        self.adapter.apply_gradients(chain_gradients(self.adapter.cores, dw), lr)
-
-
-def _init_method(task: SyntheticTask, method: str, hyper: Hyper):
-    """The trainable state of one method, started at the task's w0."""
+def _init_state(task: SyntheticTask, method: str, hyper: Hyper):
+    """The frozen base and trainable arrays of one method at the task's w0: the chain
+    methods' residual and cores, lora's w0 and factors, full-ft's None and weight."""
     if method not in _METHOD_IDS:
         raise ParameterError(f"unknown method {method!r} (expected one of {METHODS})")
     seed = np.random.SeedSequence([task.seed, _STREAM_INIT, _METHOD_IDS[method]])
     if method == "dota":
-        return _ChainWeight(dota_init(task.w0, task.shape, hyper.rank))
+        adapter = dota_init(task.w0, task.shape, hyper.rank)
+        return adapter.w_res, [c.data for c in adapter.cores.cores]
     if method == "dota-random":
         ranks = truncated_ranks(task.shape, hyper.rank)
-        chain = random_init_cores(task.shape, ranks, seed)
-        return _ChainWeight(DotaAdapter(w_res=task.w0, cores=chain, shape=task.shape))
+        return task.w0, [c.data for c in random_init_cores(task.shape, ranks, seed).cores]
     if method == "lora":
-        return lora_init(task.w0, hyper.rank, seed)
-    return _DenseWeight(task.w0.copy())
+        lora = lora_init(task.w0, hyper.rank, seed)
+        return task.w0, [lora.a, lora.b]
+    return None, [task.w0]
+
+
+class _Stack:
+    """One method's live runs on tasks of one shape: their logs, task indices,
+    and the frozen bases and trainable arrays of :func:`_init_state`, each
+    stacked along a leading axis, one slot per run."""
+
+    def __init__(self, tasks: Sequence[SyntheticTask], method: str, hyper: Hyper):
+        bases, params = zip(*(_init_state(task, method, hyper) for task in tasks))
+        self.method, self.shape, self.tasks = method, tasks[0].shape, np.arange(len(tasks))
+        self.base = None if bases[0] is None else np.stack(bases)
+        self.params = [np.stack(p) for p in zip(*params)]
+        size = sum(p[0].size for p in self.params)
+        self.logs = [TrainLog(method, task.seed, asdict(hyper), size) for task in tasks]
+        self.lefts: list[np.ndarray] = []  # a chain's L_0..L_{N-1}, kept for its step
+
+    def weights(self) -> np.ndarray:
+        """Every run's effective weight, stacked: (runs, rows, cols)."""
+        if self.base is None:
+            return self.params[0]
+        if self.method == "lora":
+            return self.base + self.params[0] @ self.params[1]
+        *self.lefts, last = _left_sweep(self.params)
+        return self.base + _as_matrix(last, self.shape)
+
+    def keep(self, live: np.ndarray) -> None:
+        self.logs = [log for log, keep in zip(self.logs, live) if keep]
+        self.tasks, self.lefts = self.tasks[live], [a[live] for a in self.lefts]
+        self.base = None if self.base is None else self.base[live]
+        self.params = [p[live] for p in self.params]
+
+    def step(self, dw: np.ndarray, lr: float) -> None:
+        """One gradient-descent step of each run at the weights last built. NumericError,
+        before any core changes, if a chain's core gradient has a non-finite entry."""
+        if self.base is None:
+            grads = [dw]
+        elif self.method == "lora":
+            a, b = self.params
+            grads = [dw @ np.swapaxes(b, 1, 2), np.swapaxes(a, 1, 2) @ dw]
+        else:
+            grads = _core_gradients(self.params, self.lefts, dw, self.shape)
+            if not all(np.isfinite(g).all() for g in grads):
+                raise NumericError("non-finite gradient entry")
+        self.params = [p - lr * g for p, g in zip(self.params, grads)]
 
 
 def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
     """Train one method on the task, logging eval loss on a fixed held-out
     batch every ``eval_every`` steps (plus step 0 and the final step).
 
-    The one-method case of the lockstep loop :func:`ablate` runs per task.
+    The one-task, one-method case of the lockstep loop :func:`ablate` runs.
     The batch stream is a function of (task seed, step index) only, so all
     methods on the same task see identical data. Every method takes the same
     step: the dense weight gradient x^T dy of the mean squared error at its
-    effective weight goes to its ``gradient_step``. The ``train_loss`` logged
-    at step t is the loss of the weight after t steps on the batch that step
-    t + 1 trains on. A non-finite loss ends the run, leaving the partial log
-    with ``diverged`` set; ``diverged_at`` is t if step t is logged, else
-    t + 1, the step that would have trained on that loss.
+    effective weight, mapped onto its trainable arrays. The ``train_loss``
+    logged at step t is the loss of the weight after t steps on the batch
+    that step t + 1 trains on. A non-finite loss ends the run, leaving the
+    partial log with ``diverged`` set; ``diverged_at`` is t if step t is
+    logged, else t + 1, the step that would have trained on that loss.
     """
-    return _train(task, (method,), hyper)[0]
+    return _train([task], (method,), hyper)[0]
 
 
-def _train(task: SyntheticTask, methods: Sequence[str], hyper: Hyper) -> list[TrainLog]:
-    """:func:`run_experiment` of each method, one log each in the given order,
-    in lockstep: each step draws one batch and target for every live method."""
-    states = [_init_method(task, m, hyper) for m in methods]
-    logs = [TrainLog(m, task.seed, asdict(hyper), s.trainable_params)
-            for m, s in zip(methods, states)]
-    live = list(zip(states, logs))
-    batch_shape = (task.batch_size, task.shape.rows)
-    x_eval = _rng(task.seed, _STREAM_EVAL).standard_normal(batch_shape)
-    y_eval = x_eval @ task.w_star
+def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper) -> list[TrainLog]:
+    """:func:`run_experiment` of each method on each task, one log each, task by
+    task in the given method order, in lockstep on tasks of one shape and batch
+    size: each step draws the batch and target of every task with a live run
+    once, and each stage of a method's step is one numpy call over its runs."""
+    stacks = [_Stack(tasks, m, hyper) for m in methods]
+    logs = [s.logs[i] for i in range(len(tasks)) for s in stacks]
+    batch_shape = (tasks[0].batch_size, tasks[0].shape.rows)
+    w_star = np.stack([task.w_star for task in tasks])
+    x_eval = np.stack([_rng(t.seed, _STREAM_EVAL).standard_normal(batch_shape) for t in tasks])
+    y_eval = x_eval @ w_star
     for t in range(hyper.steps + 1):
-        if not live:
+        stacks = [s for s in stacks if s.logs]
+        if not stacks:
             break
-        xb = _rng(task.seed, _STREAM_BATCH, t + 1).standard_normal(batch_shape)
+        xb = np.zeros((len(tasks),) + batch_shape)  # a task with no live run keeps zeros
+        for i in sorted({i for s in stacks for i in s.tasks.tolist()}):
+            _rng(tasks[i].seed, _STREAM_BATCH, t + 1).standard_normal(out=xb[i])
         logged = t % hyper.eval_every == 0 or t == hyper.steps
         with np.errstate(over="ignore", invalid="ignore"):
-            yb = xb @ task.w_star
-            for state, log in live:
-                w = state.effective_weight()
-                ev = float(np.mean((x_eval @ w - y_eval) ** 2)) if logged else 0.0
-                err = xb @ w - yb
-                loss = float(np.mean(err**2))
-                if not (math.isfinite(ev) and math.isfinite(loss)):
-                    log.diverged, log.diverged_at = True, t if logged else t + 1
-                    continue
-                if t < hyper.steps:
-                    state.gradient_step(xb.T @ (2.0 * err / err.size), hyper.lr)
-                if logged:
-                    log.records.append((t, loss, ev))
-        live = [(state, log) for state, log in live if not log.diverged]
+            yb = xb @ w_star
+            for s in stacks:
+                runs = s.tasks if len(s.tasks) < len(tasks) else slice(None)  # a view if all
+                w = s.weights()
+                err = xb[runs] @ w - yb[runs]
+                loss = np.mean(err**2, axis=(1, 2))
+                ev = (np.mean((x_eval[runs] @ w - y_eval[runs]) ** 2, axis=(1, 2))
+                      if logged else np.zeros_like(loss))
+                live = np.isfinite(loss) & np.isfinite(ev)
+                for log, ok, tr, e in zip(s.logs, live, loss.tolist(), ev.tolist()):
+                    if not ok:
+                        log.diverged, log.diverged_at = True, t if logged else t + 1
+                    elif logged:
+                        log.records.append((t, tr, e))
+                if not live.all():  # before the step, whose checks would see these runs
+                    s.keep(live)
+                    err, runs = err[live], s.tasks
+                if t < hyper.steps and s.logs:
+                    s.step(np.swapaxes(xb[runs], 1, 2) @ (2.0 * err / err[0].size), float(hyper.lr))
     return logs
 
 
@@ -420,18 +443,16 @@ def _resolve_shape(dims, shapes, n) -> MpoShape:
 def ablate(config: AblationConfig) -> tuple[list[TrainLog], list[tuple[int, str, float, float]]]:
     """Run the full method-by-seed grid and summarize eval losses.
 
-    A seed's methods train in lockstep on one batch stream, all held at once.
+    Every seed's task is built first; then all seeds and methods train in
+    lockstep, all held at once, each method's seeds stacked (see :func:`_train`).
     Returns every TrainLog, seed by seed in the config's method order, plus
     summary rows (step, method, mean, std) with the mean and population
     standard deviation taken across seeds.
     """
-    logs = []
-    for seed in config.seeds:
-        task = make_task(config.shape, r_delta=config.r_delta, delta_scale=config.delta_scale,
-                         batch_size=config.batch_size, seed=seed)
-        logs.extend(_train(task, config.methods, config.hyper))
-    summary = summarize(logs)
-    return logs, summary
+    tasks = [make_task(config.shape, r_delta=config.r_delta, delta_scale=config.delta_scale,
+                       batch_size=config.batch_size, seed=seed) for seed in config.seeds]
+    logs = _train(tasks, config.methods, config.hyper)
+    return logs, summarize(logs)
 
 
 def summarize(logs: Sequence[TrainLog]) -> list[tuple[int, str, float, float]]:

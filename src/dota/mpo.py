@@ -250,20 +250,36 @@ def mpo_decompose(
     return CoreChain.from_arrays([c.astype(out_dtype, copy=False) for c in cores])
 
 
-def _left_sweep(chain: CoreChain, left=None, start: int = 0) -> Iterator[np.ndarray]:
+def _left_sweep(chain, left=None, start: int = 0) -> Iterator[np.ndarray]:
     """Yield L_0 = ones((1, 1)), then L_k, the float64 contraction of cores
     0..k-1 as a (prod_{m<k} I_m J_m, r_k) matrix, in the interleaved layout.
     Given rows of some L_start as ``left``, carry them on from core ``start``.
+    ``chain`` is a CoreChain or its core arrays, which may share a leading
+    stack axis: each L_k then has it too, and each product is one matmul.
 
     Only the current matrix is kept, so a caller that needs every L_k has
     to store them itself.
     """
-    left = np.ones((1, 1)) if left is None else left
+    cores = [c.data for c in chain.cores] if isinstance(chain, CoreChain) else chain
+    lead = cores[0].shape[:-4]
+    left = np.ones(lead + (1, 1)) if left is None else left
     yield left
-    for core in chain.cores[start:]:
-        r0, _, _, r1 = core.shape
-        left = (left @ core.data.astype(np.float64, copy=False).reshape(r0, -1)).reshape(-1, r1)
+    for core in cores[start:]:
+        left = left @ core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))
+        left = left.reshape(lead + (-1, core.shape[-1]))
         yield left
+
+
+def _lead_axes(lead: int, axes: Sequence[int]) -> tuple[int, ...]:
+    """A transpose of a matrix's modes, applied past ``lead`` leading stack axes."""
+    return tuple(range(lead)) + tuple(lead + a for a in axes)
+
+
+def _as_matrix(left: np.ndarray, shape: MpoShape) -> np.ndarray:
+    """L_N, or a stack of them, as (..., rows, cols) in W's layout: a view where numpy can."""
+    lead, (modes, _, inverse) = left.shape[:-2], shape._axes
+    out = np.transpose(left.reshape(lead + modes), _lead_axes(len(lead), inverse))
+    return out.reshape(lead + (shape.rows, shape.cols))
 
 
 # A matrix of more elements than this (8 MB of float64) is rebuilt in panels.
@@ -279,7 +295,7 @@ def reconstruct(chain: CoreChain) -> np.ndarray:
     the only full-size array, with the same bytes as when built in one piece."""
     shape, n = chain.shape, len(chain)
     panels = shape.in_factors[0] * shape.out_factors[0]
-    modes, _, inverse = shape._axes
+    modes = shape._axes[0]
     # Whether each core's product splits by rows exactly (False for a small matrix):
     # on OpenBLAS 0.3.31's Haswell DGEMM kernels a split product changed in the last
     # bits with a column count not a multiple of 8 or an inner dimension above 384.
@@ -289,8 +305,7 @@ def reconstruct(chain: CoreChain) -> np.ndarray:
         if exact and k < n and len(left) > panels and all(exact[k:]):
             break
     else:  # L_N is (prod I_k J_k, 1) in the interleaved layout (i_1, j_1, ...)
-        out = np.transpose(left.reshape(modes), inverse).reshape(shape.rows, shape.cols)
-        return np.ascontiguousarray(out.astype(chain.dtype, copy=False))
+        return np.ascontiguousarray(_as_matrix(left, shape).astype(chain.dtype, copy=False))
     out = np.empty((shape.rows, shape.cols), dtype=chain.dtype)
     separated = out.reshape(shape.in_factors + shape.out_factors)
     for p, rows in enumerate(np.split(left, panels)):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dota.adapter
 from dota.adapter import _chain_backward, _chain_forward, _sweep_is_cheaper
-from dota.mpo import _left_sweep
+from dota.mpo import _as_matrix, _left_sweep
 from dota import (
     SHAPE_PRESETS,
     CoreChain,
@@ -100,6 +100,16 @@ def random_chains(draw, max_cores=4, max_rank=4):
     ])
 
 
+@st.composite
+def chain_stacks(draw):
+    """1-4 chains that share one of random_chains' shapes, rank lists and dtypes."""
+    first = draw(random_chains())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [first] + [
+        CoreChain.from_arrays([rng.normal(size=c.shape).astype(c.dtype) for c in first.cores])
+        for _ in range(draw(st.integers(0, 3)))]
+
+
 SINGLE_CORE = CoreChain.from_arrays([rand((1, 3, 2, 1), seed=40)])
 
 
@@ -126,6 +136,21 @@ class TestChainKernel:
         grads = chain_gradients(chain, dw).tensors
         for g, ref in zip(grads, reference_chain_gradients(chain, dw), strict=True):
             assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes()
+
+    @given(chain_stacks(), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_stacked_build_and_gradients_are_each_chains_bytes(self, chains, seed):
+        # the training grid's kernels: one matmul per core over a leading stack axis
+        shape = chains[0].shape
+        dws = rand((len(chains), shape.rows, shape.cols), seed)
+        stack = [np.stack(cores) for cores in zip(*([c.data for c in ch.cores] for ch in chains))]
+        *lefts, last = _left_sweep(stack)
+        weights = _as_matrix(last, shape)
+        grads = dota.adapter._core_gradients(stack, lefts, dws, shape)
+        for g, (chain, dw) in enumerate(zip(chains, dws)):
+            assert weights[g].astype(chain.dtype).tobytes() == reconstruct(chain).tobytes()
+            for got, want in zip(grads, chain_gradients(chain, dw).tensors, strict=True):
+                assert got[g].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dw_shape", [(8, 9), (9, 8), (64,), (8, 8, 1)])
     def test_gradients_of_a_wrong_shape_raise(self, dw_shape):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 import dota.harness
 from dota import (
     AblationConfig,
+    DotaAdapter,
     Hyper,
     MpoShape,
     ParameterError,
     ShapeError,
     ablate,
     balanced_factors,
+    chain_gradients,
     default_tensor_shape,
     dota_init,
     lora_init,
@@ -66,11 +69,34 @@ def reference_dota_records(task, hyper):
     return records
 
 
+def reference_state(task, method, hyper):
+    """(weight, step) of one method's state, built and stepped through the
+    public per-state API, apart from the harness's stacked loop."""
+    seed = np.random.SeedSequence([task.seed, 3, dota.harness.METHODS.index(method)])
+    if method == "lora":
+        lora = lora_init(task.w0, hyper.rank, seed)
+        return lora.effective_weight, lora.gradient_step
+    if method == "full-ft":
+        w = [task.w0.copy()]
+
+        def step(dw, lr):
+            w[0] = w[0] - lr * dw
+
+        return lambda: w[0], step
+    if method == "dota":
+        adapter = dota_init(task.w0, task.shape, hyper.rank)
+    else:
+        chain = random_init_cores(task.shape, truncated_ranks(task.shape, hyper.rank), seed)
+        adapter = DotaAdapter(w_res=task.w0, cores=chain, shape=task.shape)
+    return adapter.merge, lambda dw, lr: adapter.apply_gradients(
+        chain_gradients(adapter.cores, dw), lr)
+
+
 def reference_run(task, method, hyper):
     """(records, diverged, diverged_at) of the two-pass loop that
     run_experiment replaced: after each logged step, a separate pass rebuilt
     the weight and drew the next batch again for the train loss."""
-    state = dota.harness._init_method(task, method, hyper)
+    weight, gradient_step = reference_state(task, method, hyper)
     shape = (task.batch_size, task.shape.rows)
 
     def draw(*key):
@@ -85,7 +111,7 @@ def reference_run(task, method, hyper):
 
     def record(step):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = state.effective_weight()
+            w = weight()
             ev = float(np.mean((x_eval @ w - y_eval) ** 2))
             xb = batch(step + 1)
             tr = float(np.mean((xb @ w - xb @ task.w_star) ** 2))
@@ -99,10 +125,10 @@ def reference_run(task, method, hyper):
     for t in range(1, hyper.steps + 1):
         xb = batch(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            err = xb @ state.effective_weight() - xb @ task.w_star
+            err = xb @ weight() - xb @ task.w_star
             loss = float(np.mean(err**2))
             if math.isfinite(loss):
-                state.gradient_step(xb.T @ (2.0 * err / err.size), hyper.lr)
+                gradient_step(xb.T @ (2.0 * err / err.size), hyper.lr)
         if not math.isfinite(loss):
             return records, True, t
         if (t % hyper.eval_every == 0 or t == hyper.steps) and not record(t):
@@ -248,15 +274,13 @@ class TestRunExperiment:
     def test_each_weight_and_batch_is_made_once(self, method, monkeypatch):
         task = small_task(seed=15)
         weights, keys = [], []
-        for cls in (dota.harness._DenseWeight, dota.harness._ChainWeight,
-                    dota.harness.LoraBaseline):
-            built = cls.effective_weight
-            monkeypatch.setattr(cls, "effective_weight",
-                                lambda self, built=built: weights.append(1) or built(self))
+        built = dota.harness._Stack.weights
+        monkeypatch.setattr(dota.harness._Stack, "weights",
+                            lambda self: weights.append(self.method) or built(self))
         rng = dota.harness._rng
         monkeypatch.setattr(dota.harness, "_rng", lambda *key: keys.append(key) or rng(*key))
         run_experiment(task, method, Hyper(steps=50, lr=0.1, rank=8, eval_every=10))
-        assert len(weights) == 51
+        assert weights == [method] * 51  # one stacked build per step
         # one eval batch, then batch t + 1 for each t in 0..50, in order
         assert keys == [(15, 2)] + [(15, 1, t) for t in range(1, 52)]
 
@@ -370,8 +394,10 @@ class TestAblate:
     def test_lockstep_logs_equal_one_method_runs(self):
         methods = tuple(reversed(dota.harness.METHODS))  # logs keep the config's order
         mixed = []  # grids where some methods diverged and others ran on
-        for lr, eval_every, steps in itertools.product((0.1, 5, 1e3, 1e6), (1, 3, 7), (0, 1, 40)):
-            config = self.config(lr=lr, eval_every=eval_every, steps=steps, seeds=[14, 15],
+        split = []  # grids where one seed of a method diverged and another ran on
+        for lr, eval_every, steps in itertools.product((0.1, 5, 12, 50, 1e3, 1e6), (1, 3, 7),
+                                                       (0, 1, 40)):
+            config = self.config(lr=lr, eval_every=eval_every, steps=steps, seeds=[14, 15, 16],
                                  methods=list(methods))
             logs, _ = ablate(config)
             expected = []
@@ -386,16 +412,35 @@ class TestAblate:
             diverged = {log.diverged for log in logs}
             if diverged == {True, False}:
                 mixed.append((lr, eval_every, steps))
-        assert mixed
+            if any({log.diverged for log in logs if log.method == m} == {True, False}
+                   for m in methods):
+                split.append((lr, eval_every, steps))
+        assert mixed and split
+
+    def test_standard_grid_peak_memory(self):
+        # every seed's task and every method's stacked states are held at once
+        config = self.config(steps=500, methods=list(dota.harness.METHODS))
+        ablate(self.config(steps=1))  # numpy's one-time allocations are not the grid's
+        tracemalloc.start()
+        try:
+            ablate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_each_task_draws_each_batch_once(self, monkeypatch):
         keys = []
         rng = dota.harness._rng
         monkeypatch.setattr(dota.harness, "_rng", lambda *key: keys.append(key) or rng(*key))
         ablate(self.config(seeds=[3, 4], steps=20, eval_every=5, methods=list(dota.harness.METHODS)))
-        # per task: its own draw, one eval batch, then batch t + 1 for each t in 0..20
-        assert keys == [key for seed in (3, 4) for key in
-                        [(seed, 0), (seed, 2)] + [(seed, 1, t) for t in range(1, 22)]]
+        # per task: its own draw, one eval batch, then batch t + 1 for each t in 0..20;
+        # the lockstep interleaves the tasks' draws
+        expected = {seed: [(seed, 0), (seed, 2)] + [(seed, 1, t) for t in range(1, 22)]
+                    for seed in (3, 4)}
+        assert len(keys) == len(set(keys)) == sum(map(len, expected.values()))
+        for seed, own in expected.items():
+            assert [key for key in keys if key[0] == seed] == own
 
 
 class TestConfigValidation:

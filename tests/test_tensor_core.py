@@ -4,6 +4,7 @@ import pytest
 from dota import (
     Bundle,
     DenseTensor,
+    Hyper,
     MpoShape,
     ShapeError,
     dota_init,
@@ -13,7 +14,7 @@ from dota import (
     qdota_init,
     quantize_nf4,
 )
-from dota.harness import _DenseWeight
+from dota.harness import _Stack
 
 
 def rand(shape, seed=0):
@@ -47,7 +48,8 @@ ARRAY_HOLDERS = {
     "Bundle": lambda: Bundle(mpo_decompose(rand((16, 16)), SHAPE, 2), rand((16, 16))),
     "SyntheticTask": lambda: make_task(SHAPE, 2, 0.05, seed=1),
     "LoraBaseline": lambda: lora_init(rand((16, 16)), 2, 1),
-    "_DenseWeight": lambda: _DenseWeight(rand((16, 16))),
+    "_Stack": lambda: _Stack([make_task(SHAPE, 2, 0.05, seed=1)], "full-ft",
+                             Hyper(steps=1, lr=0.1, rank=2)),
 }
 
 
