@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, _number_problem
 from .mpo import CoreChain, MpoShape, _lead_axes, _left_sweep, mpo_decompose, reconstruct
-from .tensor_core import _as_readonly
+from .tensor_core import _as_readonly, _finite, _real
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,17 @@ class CoreGradients:
     tensors: tuple[np.ndarray, ...]
 
     def check_against(self, chain: CoreChain) -> None:
+        """ShapeError unless there is one real (see :func:`_real`) gradient per core, shaped like it."""
         if len(self.tensors) != len(chain):
             raise ShapeError("gradient count does not match core count")
         for g, c in zip(self.tensors, chain.cores):
-            if g.shape != c.shape:
+            if _real(g, "gradient").shape != c.shape:
                 raise ShapeError(f"gradient shape {g.shape} != core shape {c.shape}")
 
 
 def chain_gradients(chain: CoreChain, dw: np.ndarray) -> CoreGradients:
     """Gradients of sum(dw * reconstruct(chain)) w.r.t. every core."""
-    dw = np.asarray(dw, dtype=np.float64)
+    dw = _real(dw, "weight gradient").astype(np.float64, copy=False)
     chain.shape.check_matrix(dw)
     cores = [c.data for c in chain.cores]
     lefts = list(islice(_left_sweep(cores), len(chain)))
@@ -144,19 +145,20 @@ class DotaAdapter:
     """Frozen residual matrix plus a trainable core chain for one layer.
 
     A read-only, C-contiguous ``w_res`` is adopted as it is; any other is
-    copied once and the copy made read-only."""
+    copied once and the copy made read-only. NumericError if it is not
+    finite; the chain is finite by construction."""
 
     w_res: np.ndarray
     cores: CoreChain
     shape: MpoShape
 
     def __post_init__(self):
-        self.shape.check_matrix(self.w_res)
+        w_res = _real(self.w_res, "residual")
+        self.shape.check_matrix(w_res)
         if self.cores.shape != self.shape:
             raise ShapeError("core chain factors do not match the adapter shape")
-        if not all(np.isfinite(a).all() for a in (self.w_res, *(c.data for c in self.cores.cores))):
-            raise NumericError("residual or cores contain non-finite entries")
-        self.w_res = _as_readonly(self.w_res)
+        _finite(w_res, what="residual")
+        self.w_res = _as_readonly(w_res)
 
     @property
     def trainable_params(self) -> int:
@@ -171,7 +173,7 @@ class DotaAdapter:
         separate so the frozen and trainable paths stay distinguishable.
         The chain's branch is a batch sweep wherever that takes fewer
         multiply-adds than forming the delta."""
-        x = np.asarray(x)
+        x = _real(x, "input")
         if x.ndim != 2 or x.shape[1] != self.shape.rows:
             raise ShapeError(f"input shape {x.shape} does not match weight rows {self.shape.rows}")
         if _sweep_is_cheaper(self.cores, x.shape[0]):
@@ -187,12 +189,10 @@ class DotaAdapter:
         gradient x^T dy goes through :func:`chain_gradients` and dx uses the
         merged effective weight, which is algebraically identical.
         """
-        x, dy = np.asarray(x), np.asarray(dy)
+        x, dy = _real(x, "input", ndim=2), _real(dy, "output gradient", ndim=2)
         weight = (self.shape.rows, self.shape.cols)
-        if x.ndim != 2 or dy.ndim != 2 or x.shape[0] != dy.shape[0]:
-            raise ShapeError(f"batch mismatch: x {x.shape} vs dy {dy.shape}")
-        if (x.shape[1], dy.shape[1]) != weight:
-            raise ShapeError(f"x {x.shape} / dy {dy.shape} do not match weight {weight}")
+        if x.shape[0] != dy.shape[0] or (x.shape[1], dy.shape[1]) != weight:
+            raise ShapeError(f"x {x.shape} / dy {dy.shape}: batches differ or weight is not {weight}")
         if _sweep_is_cheaper(self.cores, x.shape[0]):
             grads, dx = _chain_backward(x, dy, self.cores)
             return grads, dy @ self.w_res.T + dx
@@ -201,16 +201,16 @@ class DotaAdapter:
     def apply_gradients(self, grads: CoreGradients, lr: float) -> None:
         """One plain gradient-descent step on the cores; the residual is untouched.
         A rate that is not a real number raises ParameterError, and a rate not
-        finite as a float, or a non-finite gradient entry, NumericError, before
-        any core changes."""
+        finite as a float, or a step that leaves a core entry non-finite (a
+        non-finite gradient, or an overflow), NumericError, before any core changes."""
         grads.check_against(self.cores)
         problem = _number_problem(lr, -math.inf)
-        if problem and not problem.startswith("expected a finite"):
-            raise ParameterError(f"learning rate: {problem}")
-        if problem or not all(np.isfinite(g).all() for g in grads.tensors):
-            raise NumericError("non-finite learning rate or gradient entry")
-        self.cores = self.cores._stepped([c.data - float(lr) * g.astype(c.dtype, copy=False)
-                                          for c, g in zip(self.cores.cores, grads.tensors)])
+        if problem:
+            kind = NumericError if problem.startswith("expected a finite") else ParameterError
+            raise kind(f"learning rate: {problem}")
+        with np.errstate(over="ignore", invalid="ignore"):  # the stepped chain checks its cores
+            self.cores = self.cores._stepped([c.data - float(lr) * g.astype(c.dtype, copy=False)
+                                              for c, g in zip(self.cores.cores, grads.tensors)])
 
 
 def dota_init(
@@ -220,9 +220,10 @@ def dota_init(
 ) -> DotaAdapter:
     """Decompose W0 at the given rank threshold and keep the leftover as a
     frozen residual, so the adapter's effective weight starts at W0."""
-    w0 = np.asarray(w0)
+    w0 = _real(w0, "matrix")
     cores = mpo_decompose(w0, shape, rank_threshold)
-    w_res = reconstruct(cores)
-    np.subtract(w0, w_res, out=w_res)  # in place: the reconstruction is fresh
+    with np.errstate(over="ignore", invalid="ignore"):  # the adapter refuses an overflow
+        w_res = reconstruct(cores)
+        np.subtract(w0, w_res, out=w_res)  # in place: the reconstruction is fresh
     w_res.flags.writeable = False  # so the adapter adopts it without a copy
     return DotaAdapter(w_res=w_res, cores=cores, shape=shape)

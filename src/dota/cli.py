@@ -121,8 +121,6 @@ def _cmd_train(args) -> int:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DotaError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DotaError("config must be a JSON object")
     config = AblationConfig.from_dict(raw)
     os.makedirs(args.out_dir, exist_ok=True)
     print(

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import FormatError, NumericError, ParameterError, ShapeError
 from .mpo import CoreChain, MpoShape
 from .quant import QuantizedMatrix
+from .tensor_core import _finite, _real
 
 MATRIX_MAGIC = b"DOTM"
 BUNDLE_MAGIC = b"DOTC"
@@ -87,7 +88,7 @@ class _Cursor:
         """The next ``n`` bytes."""
         return self.array(np.dtype(np.uint8), n, what).tobytes()
 
-    def array(self, dtype: np.dtype, count: int, what: str, finite: bool = False) -> np.ndarray:
+    def array(self, dtype: np.dtype, count: int, what: str) -> np.ndarray:
         """The next ``count`` little-endian values, read into a fresh array
         once the file is known to hold them."""
         n = count * dtype.itemsize
@@ -98,10 +99,7 @@ class _Cursor:
         got = self.fh.readinto(a)
         if got != n:  # the file shrank after fstat
             raise FormatError(f"file too short: the {what} needs {n} bytes, {got} are left")
-        a = a.astype(dtype, copy=False)  # a no-op on a little-endian host
-        if finite and not np.isfinite(a).all():
-            raise FormatError(f"{what} contains non-finite values")
-        return a
+        return a.astype(dtype, copy=False)  # a no-op on a little-endian host
 
     def end(self) -> None:
         if self.left:
@@ -146,26 +144,24 @@ class Bundle:
 
 
 def write_bundle(path, chain: CoreChain, residual=None) -> None:
-    """Write a core chain plus optional (possibly quantized) residual.
-    Non-finite cores, residual entries or block scales raise NumericError
-    instead of giving a file that :func:`read_bundle` refuses."""
+    """Write a core chain (finite by construction) plus optional (possibly
+    quantized) residual. A residual that is not real raises ShapeError, and a
+    non-finite residual entry or block scale NumericError, before any write."""
     _, dtype_name, dtype = _dtype_entry(1, np.dtype(chain.dtype))
     shape = chain.shape
     quantized = isinstance(residual, QuantizedMatrix)
+    cores = [np.ascontiguousarray(c.data, dtype=_le(dtype)) for c in chain.cores]
+    tail = []  # the residual's float payload: its block scales, or the matrix itself
     if residual is not None:
-        res_shape = (
-            (residual.rows, residual.cols) if quantized else np.asarray(residual).shape
-        )
+        residual = residual if quantized else _real(residual, "residual")
+        res_shape = (residual.rows, residual.cols) if quantized else residual.shape
         if res_shape != (shape.rows, shape.cols):
             raise FormatError(
                 f"residual shape {res_shape} does not match chain {shape.rows}x{shape.cols}"
             )
-    cores = [np.ascontiguousarray(c.data, dtype=_le(dtype)) for c in chain.cores]
-    # The residual's float payload: its block scales, or the matrix itself.
-    tail = [] if residual is None else [
-        np.ascontiguousarray(residual.absmax if quantized else residual, dtype=_le(dtype))]
-    if not all(np.isfinite(a).all() for a in cores + tail):
-        raise NumericError("cannot write non-finite cores, residual entries or block scales")
+        with np.errstate(over="ignore"):  # a cast past float32's range gives inf, refused below
+            tail = [np.ascontiguousarray(residual.absmax if quantized else residual, dtype=_le(dtype))]
+    _finite(*tail, what="residual or its block scales")
     header_bytes = _header_bytes(shape, chain.ranks, dtype_name, residual is not None,
                                  residual.block_size if quantized else None)
     with open(path, "wb") as fh:
@@ -223,7 +219,7 @@ def _read_bundle(cursor: _Cursor) -> Bundle:
         _, dtype_name, dtype = _dtype_entry(0, header.get("dtype"))
         if raw != _header_bytes(shape, ranks, dtype_name, has_residual, block_size):
             raise FormatError("bundle header is not the canonical one write_bundle writes")
-        cores = [cursor.array(dtype, math.prod(s), f"core {k}", finite=True).reshape(s)
+        cores = [cursor.array(dtype, math.prod(s), f"core {k}").reshape(s)
                  for k, s in enumerate(shape.core_shapes(ranks))]
         for core in cores:
             core.flags.writeable = False  # fresh, so the chain adopts it without a copy
@@ -232,12 +228,14 @@ def _read_bundle(cursor: _Cursor) -> Bundle:
         if quantized:
             n_packed, n_blocks = QuantizedMatrix.layout(rows * cols, block_size)
             packed = cursor.array(np.dtype(np.uint8), n_packed, "packed codes")
-            absmax = cursor.array(dtype, n_blocks, "block scales", finite=True)
+            absmax = cursor.array(dtype, n_blocks, "block scales")
             packed.flags.writeable = absmax.flags.writeable = False  # fresh, so adopted without a copy
             residual = QuantizedMatrix(packed, absmax, block_size, rows, cols, dtype)
         elif has_residual:
-            residual = cursor.array(dtype, rows * cols, "residual", finite=True).reshape(rows, cols)
-    except (ShapeError, ParameterError, RecursionError) as exc:
+            residual = cursor.array(dtype, rows * cols, "residual").reshape(rows, cols)
+            _finite(residual, what="residual")
+    # NumericError: a non-finite core, block scale or residual entry.
+    except (ShapeError, ParameterError, NumericError, RecursionError) as exc:
         raise FormatError(f"inconsistent bundle: {exc}") from exc
     cursor.end()
     return Bundle(chain=chain, residual=residual)

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .adapter import _core_gradients, dota_init
-from .errors import (DotaError, NumericError, ParameterError, ShapeError, _count_problem,
-                     _counts_problem, _number_problem, _reject)
+from .errors import (DotaError, ParameterError, ShapeError, _count_problem, _counts_problem,
+                     _number_problem, _reject)
 from .mpo import (
     SHAPE_PRESETS,
     CoreChain,
@@ -30,7 +30,7 @@ from .mpo import (
     reconstruct,
     truncated_ranks,
 )
-from .tensor_core import DenseTensor
+from .tensor_core import DenseTensor, _finite, _real
 
 METHODS = ("dota", "dota-random", "lora", "full-ft")
 _METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
@@ -108,6 +108,7 @@ def make_task(
     times ||w0||_F. The sign of each vector kept at the last bond is LAPACK's
     choice and reaches delta: flipping them all gives w0 - delta, under which
     lora, full-ft and dota-random losses are symmetric but dota's are not.
+    NumericError if ``delta_scale`` is so large that w_star overflows.
     """
     _reject(
         r_delta=_count_problem(r_delta, 1),
@@ -132,10 +133,12 @@ def make_task(
     )
     d_raw = reconstruct(delta_chain)
     # Nonzero: the earlier cores are orthonormal, so ||d_raw|| = ||projected|| > 0.
-    delta = d_raw * (delta_scale * np.linalg.norm(w0) / np.linalg.norm(d_raw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_star = w0 + d_raw * (delta_scale * np.linalg.norm(w0) / np.linalg.norm(d_raw))
+    _finite(w_star, what="target w_star")
     return SyntheticTask(
         w0=w0,
-        w_star=w0 + delta,
+        w_star=w_star,
         shape=shape,
         r_delta=r_delta,
         delta_scale=float(delta_scale),
@@ -177,8 +180,9 @@ class LoraBaseline:
 
 
 def lora_init(w0: np.ndarray, rank: int, seed) -> LoraBaseline:
-    """LoRA factors with ``a`` of std 1/sqrt(rows) and ``b`` zero."""
+    """LoRA factors, ``a`` of std 1/sqrt(rows) and ``b`` zero, for the real matrix w0."""
     _reject(rank=_count_problem(rank, 1))
+    w0 = _real(w0, "matrix", ndim=2)
     rows, cols = w0.shape
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, rank))
@@ -292,8 +296,7 @@ class _Stack:
             grads = [dw @ np.swapaxes(b, 1, 2), np.swapaxes(a, 1, 2) @ dw]
         else:
             grads = _core_gradients(self.params, self.lefts, dw, self.shape)
-            if not all(np.isfinite(g).all() for g in grads):
-                raise NumericError("non-finite gradient entry")
+            _finite(*grads, what="core gradient")
         self.params = [p - lr * g for p, g in zip(self.params, grads)]
 
 
@@ -379,7 +382,9 @@ class AblationConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "AblationConfig":
         """Build a config from a parsed JSON document, naming every invalid
-        field by its JSON key in one ParameterError."""
+        field by its JSON key (or the document, if not an object) in one ParameterError."""
+        if not isinstance(raw, dict):
+            raise ParameterError("config must be a JSON object")
         problems = {repr(key): "unknown field" for key in raw if key not in _CONFIG_DEFAULTS}
         c = {**_CONFIG_DEFAULTS, **raw}
         counts = {"R": 1, "steps": 0, "eval_every": 1, "batch_size": 1, "r_delta": 1}

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NumericError, ShapeError, _count_problem, _counts_problem, _reject
-from .tensor_core import DenseTensor
+from .tensor_core import DenseTensor, _real
 
 # Default factorizations of common hidden dimensions (all chains of length 5).
 SHAPE_PRESETS: dict[int, tuple[int, ...]] = {
@@ -107,7 +107,8 @@ class MpoShape:
 
 @dataclass(frozen=True)
 class CoreChain:
-    """Ordered chain of order-4 cores, core k shaped (r_{k-1}, I_k, J_k, r_k)."""
+    """Ordered chain of order-4 cores, core k shaped (r_{k-1}, I_k, J_k, r_k), all
+    of one dtype; each is a DenseTensor, so every entry is finite."""
 
     cores: tuple[DenseTensor, ...]
 
@@ -118,8 +119,9 @@ class CoreChain:
                 raise ShapeError(f"cores must be order 4, got order {c.order}")
         object.__setattr__(self, "cores", cores)
         shapes = [c.shape for c in cores]
-        if shapes != self.shape.core_shapes(self.ranks):
-            raise ShapeError(f"core shapes {shapes} do not chain: bond ranks differ or end above 1")
+        if shapes != self.shape.core_shapes(self.ranks) or len({c.dtype for c in cores}) > 1:
+            raise ShapeError(f"cores {shapes} of dtypes {[str(c.dtype) for c in cores]} do not "
+                             "chain: bond ranks differ or end above 1, or dtypes differ")
 
     def __len__(self) -> int:
         return len(self.cores)
@@ -190,7 +192,7 @@ def reorder_for_mpo(w: np.ndarray, shape: MpoShape) -> tuple[DenseTensor, tuple[
     Returns the order-2N tensor with modes (i_1, j_1, ..., i_N, j_N) together
     with the axis order that undoes the interleaving.
     """
-    w = np.asarray(w)
+    w = _real(w, "matrix")
     shape.check_matrix(w)
     _, order, inverse = shape._axes
     separated = w.reshape(shape.in_factors + shape.out_factors)
@@ -228,26 +230,25 @@ def mpo_decompose(
     R comes from :func:`_r_factor`, blockwise for A wider than one block.
     Untruncated, the chain reconstructs W exactly. Every finite W, zero
     included, takes this sweep; it runs in float64, and cores are cast back.
+    A non-finite W, or a core that overflows, raises NumericError.
     """
-    w = np.asarray(w)
+    w = _real(w, "matrix")
     shape.check_matrix(w)
     *sweep, last = shape.core_shapes(truncated_ranks(shape, rank_threshold))
-    if not np.all(np.isfinite(w)):
-        raise NumericError("matrix contains non-finite entries")
-    out_dtype = w.dtype if w.dtype.type in (np.float32, np.float64) else np.float64
     m = reorder_for_mpo(w.astype(np.float64, copy=False), shape)[0].data
     cores: list[np.ndarray] = []
-    for k, (r0, i, j, r1) in enumerate(sweep):
-        a = m.reshape(r0 * i * j, -1)
-        small = _r_factor(a).T if a.shape[0] < a.shape[1] else a
-        try:
-            u = np.linalg.svd(small, full_matrices=False)[0][:, :r1]
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"SVD failed at core {k}: {exc}") from exc
-        cores.append(u.reshape(r0, i, j, r1))
-        m = u.T @ a
-    cores.append(m.reshape(last))
-    return CoreChain.from_arrays([c.astype(out_dtype, copy=False) for c in cores])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (r0, i, j, r1) in enumerate(sweep):
+            a = m.reshape(r0 * i * j, -1)
+            small = _r_factor(a).T if a.shape[0] < a.shape[1] else a
+            try:
+                u = np.linalg.svd(small, full_matrices=False)[0][:, :r1]
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"SVD failed at core {k}: {exc}") from exc
+            cores.append(u.reshape(r0, i, j, r1))
+            m = u.T @ a
+        cores.append(m.reshape(last))
+        return CoreChain.from_arrays([c.astype(w.dtype, copy=False) for c in cores])
 
 
 def _left_sweep(chain, left=None, start: int = 0) -> Iterator[np.ndarray]:
@@ -338,18 +339,16 @@ def _norm(x: np.ndarray) -> float:
 
 def _residual_error(w: np.ndarray, chain: CoreChain) -> tuple[np.ndarray, float]:
     """The float64 residual W - reconstruct(chain) and its Frobenius norm
-    relative to W's. NumericError if either holds a non-finite entry (or
-    their norms overflow)."""
-    w = np.asarray(w, dtype=np.float64)
+    relative to W's. NumericError if W holds a non-finite entry (or
+    their norms overflow); the chain is finite by construction."""
+    w = _real(w, "matrix").astype(np.float64, copy=False)
     chain.shape.check_matrix(w)
     denom = _norm(w)
-    # Non-finite entries skip the contraction and subtraction, where inf - inf would warn.
-    if not (math.isfinite(denom) and all(np.isfinite(c.data).all() for c in chain.cores)):
-        raise NumericError("non-finite entries in the matrix or the chain")
-    d = reconstruct(chain).astype(np.float64, copy=False)
-    np.subtract(w, d, out=d)  # in place: d is fresh, and one full-size array is enough
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail the check below
+        d = reconstruct(chain).astype(np.float64, copy=False)
+        np.subtract(w, d, out=d)  # in place: d is fresh, and one full-size array is enough
     diff = _norm(d)
-    if not math.isfinite(diff):
+    if not (math.isfinite(denom) and math.isfinite(diff)):
         raise NumericError("non-finite entries in the matrix or the chain")
     if denom == 0.0:
         return d, 0.0 if diff == 0.0 else float("inf")

@@ -20,11 +20,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, _count_problem, _reject
+from .errors import ShapeError, _count_problem, _reject
+# mpo_decompose, reconstruct and chain_gradients are unused here; the benchmark's tracer wraps them.
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
-# chain_gradients is unused here; the benchmark's tracer wraps quant.chain_gradients.
-from .adapter import DotaAdapter, chain_gradients
-from .tensor_core import _as_readonly
+from .adapter import DotaAdapter, chain_gradients, dota_init
+from .tensor_core import _as_readonly, _finite, _real
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -103,9 +103,9 @@ class NF4Codebook:
         monotone rounding for x as for every midpoint: a midpoint in a lower
         bin lies below x, one in a higher bin above it, and the one in x's own
         bin is compared exactly. (No NF4 midpoint lies within 0.0195 bins of
-        a bin edge anyway.)
+        a bin edge anyway.) Values that are not real raise ShapeError (see :func:`_real`).
         """
-        return self._encode(np.clip(np.asarray(normalized, dtype=np.float64), -1.0, 1.0))
+        return self._encode(np.clip(_real(normalized, "values").astype(np.float64, copy=False), -1.0, 1.0))
 
     def _encode(self, x: np.ndarray) -> np.ndarray:
         """:meth:`encode` of float64 values already in [-1, 1]."""
@@ -156,7 +156,8 @@ class QuantizedMatrix:
     """NF4 codes (packed two per byte) plus one absmax scale per block.
 
     Both arrays are read-only: a read-only, C-contiguous array is adopted as
-    it is, any other is copied once and the copy made read-only."""
+    it is, any other is copied once and the copy made read-only. The block
+    scales are real (see :func:`_real`), finite and non-negative."""
 
     packed: np.ndarray
     absmax: np.ndarray
@@ -169,16 +170,14 @@ class QuantizedMatrix:
         n_packed, n_blocks = self.layout(self.rows * self.cols, self.block_size)
         if self.packed.dtype != np.uint8 or self.packed.size != n_packed:
             raise ShapeError("packed code array has the wrong size or dtype")
-        if self.absmax.size != n_blocks:
-            raise ShapeError(
-                f"expected {n_blocks} block scales, got {self.absmax.size}"
-            )
-        if not np.isfinite(self.absmax).all():
-            raise NumericError("block scales must be finite")
-        if np.any(self.absmax < 0):
+        absmax = _real(self.absmax, "block scales")
+        if absmax.size != n_blocks:
+            raise ShapeError(f"expected {n_blocks} block scales, got {absmax.size}")
+        _finite(absmax, what="block scales")
+        if np.any(absmax < 0):
             raise ShapeError("block scales must be non-negative")
         object.__setattr__(self, "packed", _as_readonly(self.packed))
-        object.__setattr__(self, "absmax", _as_readonly(self.absmax))
+        object.__setattr__(self, "absmax", _as_readonly(absmax))
 
     @staticmethod
     def layout(n_elements: int, block_size: int) -> tuple[int, int]:
@@ -201,12 +200,9 @@ class QuantizedMatrix:
 
 
 def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedMatrix:
-    """Blockwise absmax NF4 quantization of a matrix."""
-    w = np.asarray(w)
-    if w.ndim != 2:
-        raise ShapeError(f"expected a matrix, got order-{w.ndim} input")
+    """Blockwise absmax NF4 quantization of a real matrix; NumericError if it is not finite."""
+    w = _real(w, "matrix", ndim=2)
     n_packed, n_blocks = QuantizedMatrix.layout(w.size, block_size)
-    dtype = w.dtype if w.dtype.type in (np.float32, np.float64) else np.dtype(np.float64)
 
     flat = w.reshape(-1)
     packed, scales = np.empty(n_packed, dtype=np.uint8), np.empty(n_blocks)
@@ -216,23 +212,15 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
         blocks[: e1 - e0] = flat[e0:e1]
         blocks = blocks.reshape(-1, block_size)
         s = np.abs(blocks).max(axis=1)
-        if not np.isfinite(s).all():
-            raise NumericError("matrix contains non-finite entries")
+        _finite(s, what="matrix")
         scales[b0 : b0 + s.size] = s
         # An all-zero block divides by 1 instead of 0; its zeros encode to the zero code.
         blocks /= np.where(s == 0.0, 1.0, s)[:, None]
         packed[e0 // 2 : (e1 + 1) // 2] = _pack_codes(_CODEBOOK._encode(blocks).reshape(-1)[: e1 - e0])
 
-    absmax = scales.astype(dtype, copy=False)
+    absmax = scales.astype(w.dtype, copy=False)
     packed.flags.writeable = absmax.flags.writeable = False  # fresh, so adopted without a copy
-    return QuantizedMatrix(
-        packed=packed,
-        absmax=absmax,
-        block_size=block_size,
-        rows=w.shape[0],
-        cols=w.shape[1],
-        dtype=np.dtype(dtype),
-    )
+    return QuantizedMatrix(packed, absmax, block_size, *w.shape, w.dtype)
 
 
 def dequantize_nf4(q: QuantizedMatrix) -> np.ndarray:
@@ -273,8 +261,5 @@ def qdota_init(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> QdotaAdapter:
     """dota_init with the residual quantized to NF4; cores stay full precision."""
-    w0 = np.asarray(w0)
-    cores = mpo_decompose(w0, shape, rank_threshold)
-    w_res = reconstruct(cores)
-    np.subtract(w0, w_res, out=w_res)  # in place: the reconstruction is fresh
-    return QdotaAdapter(q_res=quantize_nf4(w_res, block_size), cores=cores, shape=shape)
+    dense = dota_init(w0, shape, rank_threshold)
+    return QdotaAdapter(q_res=quantize_nf4(dense.w_res, block_size), cores=dense.cores, shape=shape)

@@ -1,4 +1,4 @@
-"""Immutable dense tensors.
+"""Immutable dense tensors, and the array rules every entry point applies.
 
 Everything is stored row-major (C order, last index fastest) and every
 tensor wraps a fresh, read-only array. Axes are numbered from 0. Only
@@ -11,9 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
-SUPPORTED_DTYPES = (np.float32, np.float64)
+
+def _real(a, what: str, ndim: int | None = None) -> np.ndarray:
+    """``a`` as an array of reals: float32 and float64 as they are, any other bool,
+    integer or float dtype cast to float64. ShapeError, naming ``what``, for any
+    other dtype (complex, object, string, ...), or for an order other than ``ndim``."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ShapeError(f"{what}: expected real numbers, got dtype {a.dtype}")
+    if ndim is not None and a.ndim != ndim:
+        raise ShapeError(f"{what}: expected order {ndim}, got order {a.ndim}")
+    return a if a.dtype.type in (np.float32, np.float64) else a.astype(np.float64)
+
+
+def _finite(*arrays: np.ndarray, what: str) -> None:
+    """NumericError, naming ``what``, if any entry of ``arrays`` is NaN or infinite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericError(f"{what} contains non-finite entries")
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -28,21 +44,19 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 class DenseTensor:
     """Immutable dense tensor: an order-N array with explicit mode sizes.
 
-    The wrapped array is C-contiguous and read-only.
+    The wrapped array is C-contiguous, read-only, of float32 or float64 (see
+    :func:`_real`), and finite: NumericError otherwise.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        a = self.data
-        if not isinstance(a, np.ndarray):
-            a = np.asarray(a)
-        if a.dtype.type not in SUPPORTED_DTYPES:
-            a = a.astype(np.float64)
+        a = _real(self.data, "tensor")
         if a.ndim < 1:
             raise ShapeError("tensor order must be at least 1")
         if any(s < 1 for s in a.shape):
             raise ShapeError(f"every mode size must be >= 1, got {a.shape}")
+        _finite(a, what="tensor")
         object.__setattr__(self, "data", _as_readonly(a))
 
     @property

@@ -659,6 +659,15 @@ class TestCliTrain:
             for token in tokens:
                 assert token in err
 
+    @pytest.mark.parametrize("document", ["[]", '"x"'], ids=["list", "string"])
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys, document):
+        config = tmp_path / "config.json"
+        config.write_text(document)
+        out_dir = tmp_path / "x"
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert not out_dir.exists()
+
     def test_missing_config_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["train"])

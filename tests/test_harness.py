@@ -490,6 +490,11 @@ class TestConfigValidation:
         message = str(excinfo.value)
         assert "seeds" in message and "methods" in message
 
+    @pytest.mark.parametrize("raw", [[], "x", None, 3], ids=["list", "string", "null", "number"])
+    def test_a_document_that_is_not_an_object_is_refused(self, raw):
+        with pytest.raises(ParameterError, match="config must be a JSON object"):
+            AblationConfig.from_dict(raw)
+
     def test_shape_product_mismatch(self):
         with pytest.raises(ParameterError) as excinfo:
             AblationConfig.from_dict(
