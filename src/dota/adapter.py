@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, _number_problem
-from .mpo import CoreChain, MpoShape, _lead_axes, _left_sweep, mpo_decompose, reconstruct
+from .mpo import CoreChain, MpoShape, _as_modes, _left_sweep, mpo_decompose, reconstruct
 from .tensor_core import _as_readonly, _finite, _real
 
 
@@ -57,9 +57,7 @@ def _core_gradients(cores, lefts, dw: np.ndarray, shape: MpoShape) -> list[np.nd
     """:func:`chain_gradients` of the core arrays from their left states L_0..L_{N-1}; they
     and the float64 dw may share a leading stack axis. With E the interleaved dw contracted
     with cores k+1..N-1, core k's gradient is L_k^T @ E; E then absorbs core k."""
-    lead = dw.shape[:-2]
-    e = np.ascontiguousarray(np.transpose(dw.reshape(lead + shape.in_factors + shape.out_factors),
-                                          _lead_axes(len(lead), shape._axes[1])))
+    lead, e = dw.shape[:-2], np.ascontiguousarray(_as_modes(dw, shape))
     grads = []
     for left, core in zip(reversed(lefts), reversed(cores)):
         e = e.reshape(lead + (left.shape[-2], -1))

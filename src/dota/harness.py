@@ -11,6 +11,7 @@ seed): every random draw comes from a named SeedSequence stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -24,7 +25,7 @@ from .mpo import (
     SHAPE_PRESETS,
     CoreChain,
     MpoShape,
-    _as_matrix,
+    _as_modes,
     _left_sweep,
     mpo_decompose,
     reconstruct,
@@ -34,6 +35,7 @@ from .tensor_core import DenseTensor, _finite, _real
 
 METHODS = ("dota", "dota-random", "lora", "full-ft")
 _METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
+_CHAIN = METHODS[:2]  # equal core shapes, so they share one stack
 
 # SeedSequence stream tags, so the different random draws never collide.
 _STREAM_TASK = 0
@@ -242,8 +244,6 @@ class TrainLog:
 def _init_state(task: SyntheticTask, method: str, hyper: Hyper):
     """The frozen base and trainable arrays of one method at the task's w0: the chain
     methods' residual and cores, lora's w0 and factors, full-ft's None and weight."""
-    if method not in _METHOD_IDS:
-        raise ParameterError(f"unknown method {method!r} (expected one of {METHODS})")
     seed = np.random.SeedSequence([task.seed, _STREAM_INIT, _METHOD_IDS[method]])
     if method == "dota":
         adapter = dota_init(task.w0, task.shape, hyper.rank)
@@ -258,46 +258,59 @@ def _init_state(task: SyntheticTask, method: str, hyper: Hyper):
 
 
 class _Stack:
-    """One method's live runs on tasks of one shape: their logs, task indices,
-    and the frozen bases and trainable arrays of :func:`_init_state`, each
-    stacked along a leading axis, one slot per run."""
+    """Runs of one kind of method on tasks of one shape: the chain methods, whose core
+    shapes agree (``truncated_ranks`` for both), lora, or full-ft. Each run owns one slot
+    of ``w`` and of ``dw``, slices of the grid's (methods, tasks, rows, cols) weight and
+    gradient buffers; its log and the frozen base and trainable arrays of
+    :func:`_init_state` are stacked the same way. full-ft's trainable array is ``w``."""
 
-    def __init__(self, tasks: Sequence[SyntheticTask], method: str, hyper: Hyper):
-        bases, params = zip(*(_init_state(task, method, hyper) for task in tasks))
-        self.method, self.shape, self.tasks = method, tasks[0].shape, np.arange(len(tasks))
-        self.base = None if bases[0] is None else np.stack(bases)
-        self.params = [np.stack(p) for p in zip(*params)]
-        size = sum(p[0].size for p in self.params)
-        self.logs = [TrainLog(method, task.seed, asdict(hyper), size) for task in tasks]
-        self.lefts: list[np.ndarray] = []  # a chain's L_0..L_{N-1}, kept for its step
-
-    def weights(self) -> np.ndarray:
-        """Every run's effective weight, stacked: (runs, rows, cols)."""
-        if self.base is None:
-            return self.params[0]
-        if self.method == "lora":
-            return self.base + self.params[0] @ self.params[1]
-        *self.lefts, last = _left_sweep(self.params)
-        return self.base + _as_matrix(last, self.shape)
-
-    def keep(self, live: np.ndarray) -> None:
-        self.logs = [log for log, keep in zip(self.logs, live) if keep]
-        self.tasks, self.lefts = self.tasks[live], [a[live] for a in self.lefts]
-        self.base = None if self.base is None else self.base[live]
-        self.params = [p[live] for p in self.params]
-
-    def step(self, dw: np.ndarray, lr: float) -> None:
-        """One gradient-descent step of each run at the weights last built. NumericError,
-        before any core changes, if a chain's core gradient has a non-finite entry."""
-        if self.base is None:
-            grads = [dw]
-        elif self.method == "lora":
-            a, b = self.params
-            grads = [dw @ np.swapaxes(b, 1, 2), np.swapaxes(a, 1, 2) @ dw]
+    def __init__(self, tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper,
+                 w: np.ndarray, dw: np.ndarray):
+        bases, params = zip(*(_init_state(task, m, hyper) for m in methods for task in tasks))
+        self.methods, self.shape, self.w, self.dw = tuple(methods), tasks[0].shape, w, dw
+        if bases[0] is None:
+            w[...] = np.reshape(params, w.shape)
+            self.base, self.params = None, [w]
         else:
-            grads = _core_gradients(self.params, self.lefts, dw, self.shape)
+            self.base = np.reshape(bases, w.shape)
+            self.params = [np.reshape(p, w.shape[:2] + p[0].shape) for p in zip(*params)]
+        size = sum(p[0, 0].size for p in self.params)  # the chain methods' shapes agree
+        self.logs = [TrainLog(m, task.seed, asdict(hyper), size) for m in methods for task in tasks]
+        self.lefts: list[np.ndarray] = []  # a chain's L_0..L_{N-1}, kept for its step
+        self.modes = _as_modes(w, self.shape)  # where a chain writes L_N
+
+    def weights(self) -> None:
+        """Write every run's effective weight into its slot of ``w``."""
+        if self.base is None:
+            return
+        if self.methods == ("lora",):
+            np.add(self.base, np.matmul(*self.params, out=self.w), out=self.w)
+            return
+        *self.lefts, last = _left_sweep(self.params)
+        np.copyto(self.modes, last.reshape(self.modes.shape))
+        np.add(self.w, self.base, out=self.w)  # base + L_N: addition commutes exactly
+
+    def zero(self, dead: np.ndarray) -> None:
+        """Zero the trainable arrays and left states of the runs ``dead`` marks, so that
+        their later steps stay finite: a zero gradient keeps them zero."""
+        for a in self.params + self.lefts:
+            a[dead] = 0.0
+
+    def step(self, lr: float) -> None:
+        """One gradient-descent step of each run at the weights last built, from ``dw``,
+        which it overwrites. NumericError, before any core changes, if a chain's core
+        gradient has a non-finite entry."""
+        if self.base is None:
+            grads = [self.dw]
+        elif self.methods == ("lora",):
+            a, b = self.params
+            grads = [self.dw @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ self.dw]
+        else:
+            grads = _core_gradients(self.params, self.lefts, self.dw, self.shape)
             _finite(*grads, what="core gradient")
-        self.params = [p - lr * g for p, g in zip(self.params, grads)]
+        for p, g in zip(self.params, grads):
+            g *= lr  # p - lr * g, rounded alike
+            np.subtract(p, g, out=p)
 
 
 def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
@@ -319,44 +332,70 @@ def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
 
 def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper) -> list[TrainLog]:
     """:func:`run_experiment` of each method on each task, one log each, task by
-    task in the given method order, in lockstep on tasks of one shape and batch
-    size: each step draws the batch and target of every task with a live run
-    once, and each stage of a method's step is one numpy call over its runs."""
-    stacks = [_Stack(tasks, m, hyper) for m in methods]
-    logs = [s.logs[i] for i in range(len(tasks)) for s in stacks]
-    batch_shape = (tasks[0].batch_size, tasks[0].shape.rows)
+    task in the given method order, in lockstep on tasks of one shape and batch size.
+
+    Every run's effective weight sits in one slot of a float64 buffer of shape
+    (methods, tasks, rows, cols), allocated once with the residual and gradient
+    buffers. Each step draws the batch and target of every task with a live run
+    once; the residual, both losses and x^T dy are then one numpy call each over
+    the whole grid, and each :class:`_Stack` builds and steps its slots with one
+    call per stage. A diverged run keeps its slot but is never logged again: its
+    trainable arrays are zeroed once and its residual at every step, so its later
+    steps do finite work that nothing reads."""
+    for m in set(methods) - set(METHODS):
+        raise ParameterError(f"unknown method {m!r} (expected one of {METHODS})")
+    order = [m for m in METHODS if m in methods]  # dota and dota-random adjacent
+    shape, n, batch = tasks[0].shape, len(tasks), tasks[0].batch_size
+    w = np.empty((len(order), n, shape.rows, shape.cols))
+    err = np.empty((len(order), n, batch, shape.cols))
+    spare = np.empty(max(w.size, err.size))  # the squares, then x^T dy
+    sq, dw = spare[:err.size].reshape(err.shape), spare[:w.size].reshape(w.shape)
+    groups = [list(g) for _, g in itertools.groupby(order, lambda m: m in _CHAIN or m)]
+    cuts = np.cumsum([len(g) for g in groups])[:-1]
+    stacks = [_Stack(tasks, group, hyper, w_group, dw_group)
+              for group, w_group, dw_group in zip(groups, np.split(w, cuts), np.split(dw, cuts))]
+    grid = [log for s in stacks for log in s.logs]  # in w's slot order
     w_star = np.stack([task.w_star for task in tasks])
-    x_eval = np.stack([_rng(t.seed, _STREAM_EVAL).standard_normal(batch_shape) for t in tasks])
+    x_eval = np.stack([_rng(t.seed, _STREAM_EVAL).standard_normal((batch, shape.rows))
+                       for t in tasks])
     y_eval = x_eval @ w_star
-    for t in range(hyper.steps + 1):
-        stacks = [s for s in stacks if s.logs]
-        if not stacks:
-            break
-        xb = np.zeros((len(tasks),) + batch_shape)  # a task with no live run keeps zeros
-        for i in sorted({i for s in stacks for i in s.tasks.tolist()}):
-            _rng(tasks[i].seed, _STREAM_BATCH, t + 1).standard_normal(out=xb[i])
-        logged = t % hyper.eval_every == 0 or t == hyper.steps
-        with np.errstate(over="ignore", invalid="ignore"):
-            yb = xb @ w_star
+    xb, yb = np.empty_like(x_eval), np.empty_like(y_eval)
+    live, drawn = np.ones(w.shape[:2], dtype=bool), range(n)  # drawn: tasks with a live run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(hyper.steps + 1):
+            if not drawn:
+                break
+            for i in drawn:  # a task with no live run keeps its last batch
+                _rng(tasks[i].seed, _STREAM_BATCH, t + 1).standard_normal(out=xb[i])
+            np.matmul(xb, w_star, out=yb)
             for s in stacks:
-                runs = s.tasks if len(s.tasks) < len(tasks) else slice(None)  # a view if all
-                w = s.weights()
-                err = xb[runs] @ w - yb[runs]
-                loss = np.mean(err**2, axis=(1, 2))
-                ev = (np.mean((x_eval[runs] @ w - y_eval[runs]) ** 2, axis=(1, 2))
-                      if logged else np.zeros_like(loss))
-                live = np.isfinite(loss) & np.isfinite(ev)
-                for log, ok, tr, e in zip(s.logs, live, loss.tolist(), ev.tolist()):
-                    if not ok:
-                        log.diverged, log.diverged_at = True, t if logged else t + 1
-                    elif logged:
-                        log.records.append((t, tr, e))
-                if not live.all():  # before the step, whose checks would see these runs
-                    s.keep(live)
-                    err, runs = err[live], s.tasks
-                if t < hyper.steps and s.logs:
-                    s.step(np.swapaxes(xb[runs], 1, 2) @ (2.0 * err / err[0].size), float(hyper.lr))
-    return logs
+                s.weights()
+            np.subtract(np.matmul(xb, w, out=err), yb, out=err)
+            loss = np.mean(np.square(err, out=sq), axis=(2, 3))
+            ok = np.isfinite(loss)
+            logged = t % hyper.eval_every == 0 or t == hyper.steps
+            if logged:
+                np.subtract(np.matmul(x_eval, w, out=sq), y_eval, out=sq)
+                ev = np.mean(np.square(sq, out=sq), axis=(2, 3))
+                ok &= np.isfinite(ev)
+                for i in np.flatnonzero(live & ok):
+                    grid[i].records.append((t, loss.item(i), ev.item(i)))
+            dead = live & ~ok
+            if dead.any():  # before the step, whose checks would see these runs
+                for i in np.flatnonzero(dead):
+                    grid[i].diverged, grid[i].diverged_at = True, t if logged else t + 1
+                for s, runs in zip(stacks, np.split(dead, cuts)):
+                    s.zero(runs)
+                live &= ok
+                drawn = np.flatnonzero(live.any(axis=0)).tolist()
+            if t < hyper.steps:
+                if not live.all():
+                    err[~live] = 0.0
+                np.divide(np.multiply(err, 2.0, out=err), err[0, 0].size, out=err)
+                np.matmul(np.swapaxes(xb, 1, 2), err, out=dw)
+                for s in stacks:
+                    s.step(float(hyper.lr))
+    return [grid[order.index(m) * n + i] for i in range(n) for m in methods]
 
 
 # The JSON keys of a config, with the defaults of the optional ones.
@@ -449,7 +488,7 @@ def ablate(config: AblationConfig) -> tuple[list[TrainLog], list[tuple[int, str,
     """Run the full method-by-seed grid and summarize eval losses.
 
     Every seed's task is built first; then all seeds and methods train in
-    lockstep, all held at once, each method's seeds stacked (see :func:`_train`).
+    lockstep, all held at once, every run's weight in one grid buffer (see :func:`_train`).
     Returns every TrainLog, seed by seed in the config's method order, plus
     summary rows (step, method, mean, std) with the mean and population
     standard deviation taken across seeds.

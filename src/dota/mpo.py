@@ -194,12 +194,10 @@ def reorder_for_mpo(w: np.ndarray, shape: MpoShape) -> tuple[DenseTensor, tuple[
     """
     w = _real(w, "matrix")
     shape.check_matrix(w)
-    _, order, inverse = shape._axes
-    separated = w.reshape(shape.in_factors + shape.out_factors)
     # One fresh copy, frozen here so DenseTensor need not copy it again.
-    interleaved = np.transpose(separated, order).copy()
+    interleaved = _as_modes(w, shape).copy()
     interleaved.flags.writeable = False
-    return DenseTensor(interleaved), inverse
+    return DenseTensor(interleaved), shape._axes[2]
 
 
 # Columns of a wide unfolding per block QR: a 16-row block's transpose is 256 KB.
@@ -283,6 +281,13 @@ def _as_matrix(left: np.ndarray, shape: MpoShape) -> np.ndarray:
     return out.reshape(lead + (shape.rows, shape.cols))
 
 
+def _as_modes(w: np.ndarray, shape: MpoShape) -> np.ndarray:
+    """A matrix, or a stack of them, as a view in the interleaved modes (..., i_1, j_1, ...)."""
+    lead = w.shape[:-2]
+    separated = w.reshape(lead + shape.in_factors + shape.out_factors)
+    return np.transpose(separated, _lead_axes(len(lead), shape._axes[1]))
+
+
 # A matrix of more elements than this (8 MB of float64) is rebuilt in panels.
 _PANEL = 1 << 20
 
@@ -290,20 +295,24 @@ _PANEL = 1 << 20
 def reconstruct(chain: CoreChain) -> np.ndarray:
     """Contract the chain over its bonds and reassemble the full matrix.
 
-    Past ``_PANEL`` elements, once L_k has two or more rows per (i_1, j_1)
+    Past ``_PANEL`` elements, once L_k has 4, 8, 12, ... rows per (i_1, j_1)
     panel (one row would go through GEMV), each panel is contracted through
     the remaining cores and written straight into W's layout: the result is
     the only full-size array, with the same bytes as when built in one piece."""
     shape, n = chain.shape, len(chain)
     panels = shape.in_factors[0] * shape.out_factors[0]
     modes = shape._axes[0]
-    # Whether each core's product splits by rows exactly (False for a small matrix):
-    # on OpenBLAS 0.3.31's Haswell DGEMM kernels a split product changed in the last
-    # bits with a column count not a multiple of 8 or an inner dimension above 384.
+    # Whether each core's product splits by rows exactly (False for a small matrix). A
+    # DGEMM kernel may round a row differently by where it falls in the kernel's row
+    # blocks: on OpenBLAS 0.3.31, a split product changed in the last bits with a column
+    # count not a multiple of 8, an inner dimension above 384, or (Haswell kernels) a
+    # panel whose row count is not a multiple of 4. Checked on the Haswell, SkylakeX
+    # and Sandybridge kernels.
     exact = shape.rows * shape.cols > _PANEL and [
         i * j * r1 % 16 == 0 and r0 <= 256 for r0, i, j, r1 in (c.shape for c in chain.cores)]
     for k, left in enumerate(_left_sweep(chain)):
-        if exact and k < n and len(left) > panels and all(exact[k:]):
+        if exact and k < n and len(left) > panels and len(left) // panels % 4 == 0 \
+                and all(exact[k:]):
             break
     else:  # L_N is (prod I_k J_k, 1) in the interleaved layout (i_1, j_1, ...)
         return np.ascontiguousarray(_as_matrix(left, shape).astype(chain.dtype, copy=False))

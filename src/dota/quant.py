@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ShapeError, _count_problem, _reject
+from .errors import NumericError, ShapeError, _count_problem, _reject
 # mpo_decompose, reconstruct and chain_gradients are unused here; the benchmark's tracer wraps them.
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
 from .adapter import DotaAdapter, chain_gradients, dota_init
@@ -103,9 +103,13 @@ class NF4Codebook:
         monotone rounding for x as for every midpoint: a midpoint in a lower
         bin lies below x, one in a higher bin above it, and the one in x's own
         bin is compared exactly. (No NF4 midpoint lies within 0.0195 bins of
-        a bin edge anyway.) Values that are not real raise ShapeError (see :func:`_real`).
+        a bin edge anyway.) Values that are not real raise ShapeError (see :func:`_real`),
+        and NaN raises NumericError.
         """
-        return self._encode(np.clip(_real(normalized, "values").astype(np.float64, copy=False), -1.0, 1.0))
+        x = _real(normalized, "values").astype(np.float64, copy=False)
+        if np.isnan(x).any():
+            raise NumericError("values contain NaN")
+        return self._encode(np.clip(x, -1.0, 1.0))
 
     def _encode(self, x: np.ndarray) -> np.ndarray:
         """:meth:`encode` of float64 values already in [-1, 1]."""
@@ -113,6 +117,10 @@ class NF4Codebook:
         return self._below[b] + (x > self._thr[b])
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The level of each code; ShapeError for a code that is not an integer in 0..15."""
+        codes = np.asarray(codes)
+        if codes.dtype.kind not in "iu" or ((codes < 0) | (codes > 15)).any():
+            raise ShapeError("NF4 codes must be integers in 0..15")
         return np.asarray(self.levels)[codes]
 
 

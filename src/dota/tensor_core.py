@@ -17,8 +17,12 @@ from .errors import NumericError, ShapeError
 def _real(a, what: str, ndim: int | None = None) -> np.ndarray:
     """``a`` as an array of reals: float32 and float64 as they are, any other bool,
     integer or float dtype cast to float64. ShapeError, naming ``what``, for any
-    other dtype (complex, object, string, ...), or for an order other than ``ndim``."""
-    a = np.asarray(a)
+    other dtype (complex, object, string, ...), for a ragged nested list, or for an
+    order other than ``ndim``."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ShapeError(f"{what}: {exc}") from None
     if a.dtype.kind not in "biuf":
         raise ShapeError(f"{what}: expected real numbers, got dtype {a.dtype}")
     if ndim is not None and a.ndim != ndim:

@@ -276,11 +276,11 @@ class TestRunExperiment:
         weights, keys = [], []
         built = dota.harness._Stack.weights
         monkeypatch.setattr(dota.harness._Stack, "weights",
-                            lambda self: weights.append(self.method) or built(self))
+                            lambda self: weights.append(self.methods) or built(self))
         rng = dota.harness._rng
         monkeypatch.setattr(dota.harness, "_rng", lambda *key: keys.append(key) or rng(*key))
         run_experiment(task, method, Hyper(steps=50, lr=0.1, rank=8, eval_every=10))
-        assert weights == [method] * 51  # one stacked build per step
+        assert weights == [(method,)] * 51  # one stacked build per step
         # one eval batch, then batch t + 1 for each t in 0..50, in order
         assert keys == [(15, 2)] + [(15, 1, t) for t in range(1, 52)]
 
@@ -391,31 +391,44 @@ class TestAblate:
         _, b = ablate(self.config(seeds=[5], steps=10))
         assert a == b
 
+    # every subset of METHODS in every order: the grid groups the chain methods into one
+    # stack internally, which must not reorder or mix up the logs
+    ORDERS = [o for k in range(1, 5) for o in itertools.permutations(dota.harness.METHODS, k)]
+    # (lr, eval_every, steps) run in every order: one dota seed diverges while the other
+    # runs share its stack and go on; every dota seed dies, then one lora seed
+    EVERY_ORDER = [(12, 7, 40), (50, 1, 40)]
+
     def test_lockstep_logs_equal_one_method_runs(self):
-        methods = tuple(reversed(dota.harness.METHODS))  # logs keep the config's order
         mixed = []  # grids where some methods diverged and others ran on
         split = []  # grids where one seed of a method diverged and another ran on
         for lr, eval_every, steps in itertools.product((0.1, 5, 12, 50, 1e3, 1e6), (1, 3, 7),
                                                        (0, 1, 40)):
-            config = self.config(lr=lr, eval_every=eval_every, steps=steps, seeds=[14, 15, 16],
-                                 methods=list(methods))
-            logs, _ = ablate(config)
-            expected = []
-            for seed in config.seeds:
+            hyper = Hyper(steps=steps, lr=float(lr), rank=8, eval_every=eval_every)
+            expected = {}  # (seed, method) -> the one-method run
+            for seed in (14, 15, 16):
                 task = make_task(SHAPE_64, r_delta=8, delta_scale=0.05, seed=seed)
-                expected += [run_experiment(task, m, config.hyper) for m in methods]
-            assert [(log.seed, log.method) for log in logs] == \
-                [(log.seed, log.method) for log in expected]
-            for got, want in zip(logs, expected):
-                assert (got.records, got.diverged, got.diverged_at, got.trainable_params) == \
-                    (want.records, want.diverged, want.diverged_at, want.trainable_params)
-            diverged = {log.diverged for log in logs}
+                expected.update({(seed, m): run_experiment(task, m, hyper)
+                                 for m in dota.harness.METHODS})
+            orders = self.ORDERS if (lr, eval_every, steps) in self.EVERY_ORDER \
+                else [tuple(reversed(dota.harness.METHODS))]  # logs keep the config's order
+            for methods in orders:
+                config = self.config(lr=lr, eval_every=eval_every, steps=steps,
+                                     seeds=[14, 15, 16], methods=list(methods))
+                logs, _ = ablate(config)
+                assert [(log.seed, log.method) for log in logs] == \
+                    [(seed, m) for seed in config.seeds for m in methods]
+                for got in logs:
+                    want = expected[got.seed, got.method]
+                    assert (got.records, got.diverged, got.diverged_at, got.trainable_params) == \
+                        (want.records, want.diverged, want.diverged_at, want.trainable_params)
+            diverged = {log.diverged for log in expected.values()}
             if diverged == {True, False}:
                 mixed.append((lr, eval_every, steps))
-            if any({log.diverged for log in logs if log.method == m} == {True, False}
-                   for m in methods):
+            if any({log.diverged for (_, m), log in expected.items() if m == method} == {True, False}
+                   for method in dota.harness.METHODS):
                 split.append((lr, eval_every, steps))
         assert mixed and split
+        assert set(self.EVERY_ORDER) <= set(split)
 
     def test_standard_grid_peak_memory(self):
         # every seed's task and every method's stacked states are held at once

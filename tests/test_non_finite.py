@@ -191,6 +191,8 @@ PRODUCTS = {
     "backward-dy": takes(lambda dy, path: _adapter().backward(rand((8, 16)), dy), DTYPES, (8, 16)),
 }
 
+RAGGED = [[1.0, 2.0], [3.0]]  # a nested list numpy cannot make an array of
+
 CONFIG = dict(dims=16, shapes=[4, 4], R=2, steps=1, lr=0.1, seeds=[1], methods=["dota"],
               r_delta=2, delta_scale=0.05)
 TAKES_NO_ARRAY = {}  # a name that takes no array, count or config has no probe
@@ -208,7 +210,10 @@ REGISTRY = {
     "CoreChain": takes(lambda w, path: CoreChain.from_arrays([w.reshape(1, 16, 16, 1)])),
     "CoreGradients": {  # through apply_gradients, which steps by them
         kind: (lambda path, kind=kind: _bad_gradient(kind)) for kind in KINDS},
-    "DenseTensor": takes(lambda w, path: DenseTensor(w)),
+    "DenseTensor": {
+        **takes(lambda w, path: DenseTensor(w)),
+        "ragged": lambda path: DenseTensor(RAGGED),
+    },
     "DotaAdapter": {
         **takes(lambda w, path: DotaAdapter(w_res=w, cores=_chain(), shape=SHAPE)),
         **{f"{method}-{kind}": probe for method, probes in PRODUCTS.items()
@@ -222,7 +227,11 @@ REGISTRY = {
     "Hyper": {"bool-count": lambda path: Hyper(steps=True, lr=0.1, rank=2)},
     "LoraBaseline": TAKES_NO_ARRAY,  # a record; lora_init checks its matrix
     "MpoShape": {"bool-count": lambda path: MpoShape((True, 4), (4, 4))},
-    "NF4Codebook": takes(lambda w, path: nf4_codebook().encode(w)),
+    "NF4Codebook": {
+        **takes(lambda w, path: nf4_codebook().encode(w)),
+        "encode-nan": lambda path: nf4_codebook().encode(np.array([0.5, np.nan])),
+        "decode-16": lambda path: nf4_codebook().decode(np.array([3, 16], dtype=np.uint8)),
+    },
     "NF4_LEVELS": TAKES_NO_ARRAY,
     "NumericError": TAKES_NO_ARRAY,
     "ParameterError": TAKES_NO_ARRAY,
@@ -268,6 +277,7 @@ REGISTRY = {
     },
     "quantize_nf4": {
         **takes(lambda w, path: quantize_nf4(w)),
+        "ragged": lambda path: quantize_nf4(RAGGED),
         "bool-count": lambda path: quantize_nf4(rand((16, 16)), True),
     },
     "random_init_cores": {"bool-count": lambda path: random_init_cores(SHAPE, [1, True, 1], 0)},

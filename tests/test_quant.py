@@ -121,6 +121,20 @@ class TestCodebook:
         codes = nf4_codebook().encode(np.array([-np.inf, -1e300, -1.5, 1.5, 1e300, np.inf]))
         assert codes.tolist() == [0, 0, 0, 15, 15, 15]
 
+    def test_encode_of_nan_raises(self):
+        with pytest.raises(NumericError):
+            nf4_codebook().encode(np.array([0.5, np.nan]))
+
+    def test_decode_is_the_levels(self):
+        codes = np.arange(16, dtype=np.uint8)
+        assert nf4_codebook().decode(codes).tolist() == list(NF4_LEVELS)
+        assert nf4_codebook().decode(codes.astype(np.int64)).tolist() == list(NF4_LEVELS)
+
+    @pytest.mark.parametrize("codes", [[16], [-1], [0.0], [True]], ids=["16", "-1", "float", "bool"])
+    def test_decode_of_a_code_outside_0_to_15_raises(self, codes):
+        with pytest.raises(ShapeError):
+            nf4_codebook().decode(np.array(codes))
+
     def test_midpoints_sit_well_inside_their_table_bins(self):
         # The table holds one midpoint per bin, so no two may share one. The
         # lookup is exact regardless of the margin; it shows that a value

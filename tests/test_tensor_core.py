@@ -48,8 +48,8 @@ ARRAY_HOLDERS = {
     "Bundle": lambda: Bundle(mpo_decompose(rand((16, 16)), SHAPE, 2), rand((16, 16))),
     "SyntheticTask": lambda: make_task(SHAPE, 2, 0.05, seed=1),
     "LoraBaseline": lambda: lora_init(rand((16, 16)), 2, 1),
-    "_Stack": lambda: _Stack([make_task(SHAPE, 2, 0.05, seed=1)], "full-ft",
-                             Hyper(steps=1, lr=0.1, rank=2)),
+    "_Stack": lambda: _Stack([make_task(SHAPE, 2, 0.05, seed=1)], ["full-ft"],
+                             Hyper(steps=1, lr=0.1, rank=2), *np.empty((2, 1, 1, 16, 16))),
 }
 
 
