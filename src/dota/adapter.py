@@ -5,14 +5,13 @@ the residual W0 - reconstruct(chain). The residual stays frozen, so the
 effective weight starts exactly at W0 and all training signal flows into
 the cores. Gradients w.r.t. each core are exact.
 
-A training step applies the chain to the batch one core at a time (the
-tensor-train matrix-by-vector product): the forward pass sweeps x through
-the cores left to right, the backward pass sweeps dy right to left, and
-each core's gradient pairs the two sweeps' states at that core, so no
-dense delta or x^T dy is formed. Where that costs more multiply-adds than
-the dense product, as for large batches on small layers, a step
-multiplies by the reconstructed chain instead and takes the gradients
-from x^T dy through :func:`chain_gradients`.
+A training step cuts the chain at one bond s into two half-chain matrices,
+Lp (I_<s, J_<s * r_s) and Rp (r_s * I_>=s, J_>=s), and takes y = (Lp^T x) Rp,
+dx and their gradients in two GEMMs each way; the core-gradient loop of
+:func:`chain_gradients` takes those on to the cores, so no dense delta or
+x^T dy is formed. Where that costs more multiply-adds, as for large batches
+on small layers, a step multiplies by the reconstructed chain instead and
+takes the gradients from x^T dy through :func:`chain_gradients`.
 """
 
 from __future__ import annotations
@@ -20,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, _number_problem
-from .mpo import CoreChain, MpoShape, _as_modes, _left_sweep, mpo_decompose, reconstruct
+from .mpo import (CoreChain, MpoShape, _as_modes, _deinterleaving, _left_sweep, mpo_decompose,
+                  reconstruct)
 from .tensor_core import _as_readonly, _finite, _real
 
 
@@ -50,16 +49,17 @@ def chain_gradients(chain: CoreChain, dw: np.ndarray) -> CoreGradients:
     chain.shape.check_matrix(dw)
     cores = [c.data for c in chain.cores]
     lefts = list(islice(_left_sweep(cores), len(chain)))
-    return CoreGradients(tuple(_core_gradients(cores, lefts, dw, chain.shape)))
+    return CoreGradients(tuple(_core_gradients(cores, lefts, _as_modes(dw, chain.shape))))
 
 
-def _core_gradients(cores, lefts, dw: np.ndarray, shape: MpoShape) -> list[np.ndarray]:
-    """:func:`chain_gradients` of the core arrays from their left states L_0..L_{N-1}; they
-    and the float64 dw may share a leading stack axis. With E the interleaved dw contracted
-    with cores k+1..N-1, core k's gradient is L_k^T @ E; E then absorbs core k."""
-    lead, e = dw.shape[:-2], np.ascontiguousarray(_as_modes(dw, shape))
-    grads = []
+def _core_gradients(cores, lefts, e: np.ndarray) -> list[np.ndarray]:
+    """Gradients of sum(E * C) w.r.t. the core arrays, from their left states L_0..L_{N-1}
+    (:func:`_left_sweep`), C being L_N and the float64 E laid out like it (copied C-contiguous
+    first, which fixes the GEMMs' rounding); all may share a leading stack axis. With E
+    contracted with cores k+1..N-1, core k's gradient is L_k^T @ E; E then absorbs core k."""
+    grads, e = [], np.ascontiguousarray(e)
     for left, core in zip(reversed(lefts), reversed(cores)):
+        lead = core.shape[:-4]
         e = e.reshape(lead + (left.shape[-2], -1))
         grads.append((np.swapaxes(left, -1, -2) @ e).reshape(core.shape))
         core = core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))
@@ -67,75 +67,71 @@ def _core_gradients(cores, lefts, dw: np.ndarray, shape: MpoShape) -> list[np.nd
     return grads[::-1]
 
 
-def _sweep_states(chain: CoreChain, batch: int) -> tuple[list, list]:
-    """Shapes (P, c, Q) of the batch state at each core k, in the left sweep
-    of x (c = r_k * I_k) and in the right sweep of dy (c = J_k * r_{k+1}).
-    P is the batch times the output modes J_<k, Q the input modes I_>k."""
+def _split_bond(chain: CoreChain) -> tuple[int, int]:
+    """(s, count): the bond 0 < s < N (0 for one core) at which a batch product through the cut
+    chain takes the fewest multiply-adds per batch row, J_<s * r_s * I_>=s * (I_<s + J_>=s)."""
     i, j, r = chain.shape.in_factors, chain.shape.out_factors, chain.ranks
-    pq = [(batch * math.prod(j[:k]), math.prod(i[k + 1:])) for k in range(len(chain))]
-    return ([(p, r[k] * i[k], q) for k, (p, q) in enumerate(pq)],
-            [(p, j[k] * r[k + 1], q) for k, (p, q) in enumerate(pq)])
+    return min((math.prod(j[:s]) * r[s] * math.prod(i[s:]) * (math.prod(i[:s]) + math.prod(j[s:])),
+                s) for s in range(1, len(chain)) or range(1))[::-1]
 
 
 def _sweep_is_cheaper(chain: CoreChain, batch: int) -> bool:
-    """Whether one batch sweep takes no more multiply-adds than the dense
-    path: x times the delta, the delta's addition and its reconstruction.
-
-    This forward count also decides the backward pass. There the sweep path
-    costs about three sweeps (x's, dy's and the gradient contractions) and
-    the dense path two batch products, the rebuild and chain_gradients, so
-    both sides grow about threefold and the crossover stays near the
-    forward one. Timed at (4, 4, 4) and (8, 8) with R=8, the backward
-    crossover falls at or just past the count's boundary and the forward
-    one later, so the count errs towards the dense path."""
-    sizes = [c.size for c in chain.cores]
-    sweep = sum(p * q * s for (p, _, q), s in zip(_sweep_states(chain, batch)[0], sizes))
+    """Whether the split-bond batch product takes no more multiply-adds than the dense
+    path: x times the delta, the delta's addition and its reconstruction. It decides the
+    backward pass too, where the split path takes four products of the forward's sizes
+    and the dense path two, the rebuild and chain_gradients: both sides about double."""
     shape = chain.shape
     modes = [i * j for i, j in zip(shape.in_factors, shape.out_factors)]
-    rebuild = sum(math.prod(modes[:k]) * s for k, s in enumerate(sizes))
-    return sweep <= (batch + 1) * shape.rows * shape.cols + rebuild
+    rebuild = sum(math.prod(modes[:k]) * c.size for k, c in enumerate(chain.cores))
+    return batch * _split_bond(chain)[1] <= (batch + 1) * shape.rows * shape.cols + rebuild
 
 
-def _sweep(a: np.ndarray, mats: Sequence[np.ndarray], states) -> Iterator[np.ndarray]:
-    """Yield ``a`` reshaped to each (P, c, Q) state, then the product that
-    the last matrix leaves. Matrix m maps a state to m @ state, (P, c', Q),
-    whose next state is a free reshape."""
-    for m, s in zip(mats, states):
-        a = a.reshape(s)
-        yield a
-        a = m @ a if s[2] > 1 else a.reshape(s[:2]) @ m.T
-    yield a
+def _halves(chain: CoreChain, s: int | None) -> list[tuple]:
+    """The chain cut at bond s (by default :func:`_split_bond`'s): for each half, its cores,
+    their left states from eye(bond), its float64 contraction as a matrix, Lp (I_<s, J_<s * r_s)
+    or Rp (r_s * I_>=s, J_>=s), with W[(i<, i>), (j<, j>)] = sum_a Lp[i<, (j<, a)] Rp[(a, i>), j>],
+    and the shape and axis order taking a gradient of that matrix back to the contraction's."""
+    cores, s = [c.data for c in chain.cores], _split_bond(chain)[0] if s is None else s
+    halves = []
+    for part, bond in ((cores[:s], 1), (cores[s:], chain.ranks[s])):
+        *lefts, c = _left_sweep(part, np.eye(bond))
+        order = (0, *(1 + a for a in _deinterleaving(len(part))), 2 * len(part) + 1)
+        split = np.transpose(c.reshape(bond, *(m for k in part for m in k.shape[1:3]), -1), order)
+        halves.append((part, lefts, split.reshape(math.prod(split.shape[:len(part) + 1]), -1),
+                       split.shape, np.argsort(order)))
+    return halves
 
 
-def _core_matrices(chain: CoreChain) -> list[np.ndarray]:
-    """Core k as a float64 (r_k * I_k, J_k * r_{k+1}) matrix."""
-    return [c.data.astype(np.float64, copy=False).reshape(c.shape[0] * c.shape[1], -1)
-            for c in chain.cores]
+def _left_product(x: np.ndarray, halves) -> tuple[np.ndarray, ...]:
+    """Lp, Rp, x as float64 (batch, I_<s, I_>=s), and Lp^T x as (batch * J_<s, r_s * I_>=s)."""
+    lp, rp = (h[2] for h in halves)
+    xr = x.astype(np.float64, copy=False).reshape(len(x), len(lp), x.shape[1] // len(lp))
+    return lp, rp, xr, np.matmul(lp.T, xr).reshape(-1, len(rp))
 
 
-def _chain_forward(x: np.ndarray, chain: CoreChain) -> np.ndarray:
-    """x @ reconstruct(chain), by a left-to-right sweep of x through the cores."""
-    lefts, _ = _sweep_states(chain, x.shape[0])
-    *_, y = _sweep(x.astype(np.float64, copy=False), [m.T for m in _core_matrices(chain)], lefts)
-    y = y.reshape(x.shape[0], chain.shape.cols)
+def _chain_forward(x: np.ndarray, chain: CoreChain, s: int | None = None) -> np.ndarray:
+    """x @ reconstruct(chain) as (Lp^T x) @ Rp, through the chain cut at bond s (:func:`_halves`)."""
+    _, rp, _, t = _left_product(x, _halves(chain, s))
+    y = (t @ rp).reshape(len(x), chain.shape.cols)
     return y.astype(np.result_type(x, chain.dtype), copy=False)
 
 
-def _chain_backward(x: np.ndarray, dy: np.ndarray,
-                    chain: CoreChain) -> tuple[CoreGradients, np.ndarray]:
-    """chain_gradients(chain, x.T @ dy) and dy @ reconstruct(chain).T, by
-    the left sweep of x and a right-to-left sweep of dy. The gradient of
-    core k sums the two sweeps' states at core k over P and Q."""
-    lefts, rights = _sweep_states(chain, x.shape[0])
-    mats = _core_matrices(chain)
-    left = list(islice(_sweep(x.astype(np.float64, copy=False), [m.T for m in mats], lefts),
-                       len(chain)))
-    right = _sweep(dy.astype(np.float64, copy=False), mats[::-1], rights[::-1])
-    grads = [np.tensordot(a, next(right), axes=([0, 2], [0, 2])).reshape(core.shape)
-             for a, core in zip(left[::-1], chain.cores[::-1])]
-    dx = next(right).reshape(x.shape[0], chain.shape.rows).astype(
-        np.result_type(dy, chain.dtype), copy=False)
-    return CoreGradients(tuple(grads[::-1])), dx
+def _chain_backward(x: np.ndarray, dy: np.ndarray, chain: CoreChain,
+                    s: int | None = None) -> tuple[CoreGradients, np.ndarray]:
+    """chain_gradients(chain, x.T @ dy) and dy @ reconstruct(chain).T, through the chain cut
+    at bond s (:func:`_halves`). With t = Lp^T x, Rp's gradient is t^T dy, and dt = dy Rp^T
+    gives dx = Lp dt and Lp's gradient, summed over the batch; :func:`_core_gradients` takes
+    each half's gradient on to its cores."""
+    halves = _halves(chain, s)
+    lp, rp, xr, t = _left_product(x, halves)
+    dyr = dy.astype(np.float64, copy=False).reshape(-1, rp.shape[1])
+    g_rp = t.T @ dyr
+    dt = np.matmul(dyr, rp.T, out=t).reshape(xr.shape[0], lp.shape[1], xr.shape[2])  # t is spent
+    dx = np.matmul(lp, dt).reshape(x.shape).astype(np.result_type(dy, chain.dtype), copy=False)
+    grads = [g for (part, lefts, _, shape, back), gm in zip(
+                 halves, (np.matmul(xr, np.swapaxes(dt, 1, 2)).sum(0), g_rp))
+             for g in _core_gradients(part, lefts, np.transpose(gm.reshape(shape), back))]
+    return CoreGradients(tuple(grads)), dx
 
 
 @dataclass(eq=False)
@@ -169,8 +165,8 @@ class DotaAdapter:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """y = x @ w_res + x @ reconstruct(cores); the two branches are kept
         separate so the frozen and trainable paths stay distinguishable.
-        The chain's branch is a batch sweep wherever that takes fewer
-        multiply-adds than forming the delta."""
+        The chain's branch is the split-bond product wherever that takes
+        fewer multiply-adds than forming the delta."""
         x = _real(x, "input")
         if x.ndim != 2 or x.shape[1] != self.shape.rows:
             raise ShapeError(f"input shape {x.shape} does not match weight rows {self.shape.rows}")
@@ -181,8 +177,8 @@ class DotaAdapter:
     def backward(self, x: np.ndarray, dy: np.ndarray) -> tuple[CoreGradients, np.ndarray]:
         """Gradients of the loss w.r.t. every core, plus the input gradient.
 
-        ``dy`` is the loss gradient at the output. Where batch sweeps take
-        fewer multiply-adds, they give the core gradients and the chain's
+        ``dy`` is the loss gradient at the output. Where the split-bond products
+        take fewer multiply-adds, they give the core gradients and the chain's
         share of dx, which adds to dy @ w_res.T. Otherwise the weight
         gradient x^T dy goes through :func:`chain_gradients` and dx uses the
         merged effective weight, which is algebraically identical.

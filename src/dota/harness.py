@@ -291,9 +291,9 @@ class _Stack:
         np.add(self.w, self.base, out=self.w)  # base + L_N: addition commutes exactly
 
     def zero(self, dead: np.ndarray) -> None:
-        """Zero the trainable arrays and left states of the runs ``dead`` marks, so that
-        their later steps stay finite: a zero gradient keeps them zero."""
-        for a in self.params + self.lefts:
+        """Zero the weights, trainable arrays and left states of the runs ``dead`` marks, so
+        that their later steps, built or not, stay finite: a zero gradient keeps them zero."""
+        for a in [self.w] + self.params + self.lefts:
             a[dead] = 0.0
 
     def step(self, lr: float) -> None:
@@ -306,7 +306,7 @@ class _Stack:
             a, b = self.params
             grads = [self.dw @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ self.dw]
         else:
-            grads = _core_gradients(self.params, self.lefts, self.dw, self.shape)
+            grads = _core_gradients(self.params, self.lefts, _as_modes(self.dw, self.shape))
             _finite(*grads, what="core gradient")
         for p, g in zip(self.params, grads):
             g *= lr  # p - lr * g, rounded alike
@@ -340,8 +340,8 @@ def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper)
     once; the residual, both losses and x^T dy are then one numpy call each over
     the whole grid, and each :class:`_Stack` builds and steps its slots with one
     call per stage. A diverged run keeps its slot but is never logged again: its
-    trainable arrays are zeroed once and its residual at every step, so its later
-    steps do finite work that nothing reads."""
+    weight and trainable arrays are zeroed once and its residual at every step, so its
+    later steps do finite work that nothing reads, until its stack has no live run left."""
     for m in set(methods) - set(METHODS):
         raise ParameterError(f"unknown method {m!r} (expected one of {METHODS})")
     order = [m for m in METHODS if m in methods]  # dota and dota-random adjacent
@@ -360,7 +360,8 @@ def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper)
                        for t in tasks])
     y_eval = x_eval @ w_star
     xb, yb = np.empty_like(x_eval), np.empty_like(y_eval)
-    live, drawn = np.ones(w.shape[:2], dtype=bool), range(n)  # drawn: tasks with a live run
+    # drawn: the tasks with a live run; active: the stacks with one, the only ones stepped
+    live, drawn, active = np.ones(w.shape[:2], dtype=bool), range(n), stacks
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(hyper.steps + 1):
             if not drawn:
@@ -368,7 +369,7 @@ def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper)
             for i in drawn:  # a task with no live run keeps its last batch
                 _rng(tasks[i].seed, _STREAM_BATCH, t + 1).standard_normal(out=xb[i])
             np.matmul(xb, w_star, out=yb)
-            for s in stacks:
+            for s in active:
                 s.weights()
             np.subtract(np.matmul(xb, w, out=err), yb, out=err)
             loss = np.mean(np.square(err, out=sq), axis=(2, 3))
@@ -388,12 +389,13 @@ def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper)
                     s.zero(runs)
                 live &= ok
                 drawn = np.flatnonzero(live.any(axis=0)).tolist()
+                active = [s for s, runs in zip(stacks, np.split(live, cuts)) if runs.any()]
             if t < hyper.steps:
                 if not live.all():
                     err[~live] = 0.0
                 np.divide(np.multiply(err, 2.0, out=err), err[0, 0].size, out=err)
                 np.matmul(np.swapaxes(xb, 1, 2), err, out=dw)
-                for s in stacks:
+                for s in active:
                     s.step(float(hyper.lr))
     return [grid[order.index(m) * n + i] for i in range(n) for m in methods]
 

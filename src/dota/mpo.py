@@ -252,7 +252,8 @@ def mpo_decompose(
 def _left_sweep(chain, left=None, start: int = 0) -> Iterator[np.ndarray]:
     """Yield L_0 = ones((1, 1)), then L_k, the float64 contraction of cores
     0..k-1 as a (prod_{m<k} I_m J_m, r_k) matrix, in the interleaved layout.
-    Given rows of some L_start as ``left``, carry them on from core ``start``.
+    Given rows of some L_start as ``left``, carry them on from core ``start``;
+    given eye(r_0), contract cores whose first bond r_0 is not 1.
     ``chain`` is a CoreChain or its core arrays, which may share a leading
     stack axis: each L_k then has it too, and each product is one matmul.
 
@@ -260,8 +261,8 @@ def _left_sweep(chain, left=None, start: int = 0) -> Iterator[np.ndarray]:
     to store them itself.
     """
     cores = [c.data for c in chain.cores] if isinstance(chain, CoreChain) else chain
-    lead = cores[0].shape[:-4]
-    left = np.ones(lead + (1, 1)) if left is None else left
+    left = np.ones(cores[0].shape[:-4] + (1, 1)) if left is None else left
+    lead = left.shape[:-2]
     yield left
     for core in cores[start:]:
         left = left @ core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))

@@ -430,6 +430,27 @@ class TestAblate:
         assert mixed and split
         assert set(self.EVERY_ORDER) <= set(split)
 
+    def test_a_stack_whose_runs_all_died_is_no_longer_built(self, monkeypatch):
+        # at lr 100 both lora runs diverge while full-ft runs on; the last lora loss to
+        # fail is step 8's (diverged_at 9, as step 8 is not logged), after which lora's
+        # stack is neither built nor stepped
+        built, stepped, stacks = [], [], []
+        weights, step, init = dota.harness._Stack.weights, dota.harness._Stack.step, \
+            dota.harness._Stack.__init__
+        monkeypatch.setattr(dota.harness._Stack, "__init__",
+                            lambda self, *a: stacks.append(self) or init(self, *a))
+        monkeypatch.setattr(dota.harness._Stack, "weights",
+                            lambda self: built.append(self.methods) or weights(self))
+        monkeypatch.setattr(dota.harness._Stack, "step",
+                            lambda self, lr: stepped.append(self.methods) or step(self, lr))
+        logs, _ = ablate(self.config(lr=100, steps=40, eval_every=7, seeds=[14, 15],
+                                     methods=["lora", "full-ft"]))
+        assert [log.diverged_at for log in logs] == [9, None, 7, None]
+        assert built.count(("full-ft",)) == 41 and stepped.count(("full-ft",)) == 40
+        assert built.count(("lora",)) == 9 and stepped.count(("lora",)) == 8
+        lora = next(s for s in stacks if s.methods == ("lora",))
+        assert np.isfinite(lora.w).all()  # zeroed as its runs died, not left as they ended
+
     def test_standard_grid_peak_memory(self):
         # every seed's task and every method's stacked states are held at once
         config = self.config(steps=500, methods=list(dota.harness.METHODS))
