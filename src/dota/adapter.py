@@ -56,15 +56,16 @@ def _core_gradients(cores, lefts, e: np.ndarray) -> list[np.ndarray]:
     """Gradients of sum(E * C) w.r.t. the core arrays, from their left states L_0..L_{N-1}
     (:func:`_left_sweep`), C being L_N and the float64 E laid out like it (copied C-contiguous
     first, which fixes the GEMMs' rounding); all may share a leading stack axis. With E
-    contracted with cores k+1..N-1, core k's gradient is L_k^T @ E; E then absorbs core k."""
+    contracted with cores k+1..N-1, core k > 0's gradient is L_k^T @ E; E then absorbs core k.
+    Core 0's is E itself: L_0 is the identity, ones((1, 1)) or eye(r_0), so no product is taken."""
     grads, e = [], np.ascontiguousarray(e)
-    for left, core in zip(reversed(lefts), reversed(cores)):
+    for left, core in zip(reversed(lefts[1:]), reversed(cores[1:])):
         lead = core.shape[:-4]
         e = e.reshape(lead + (left.shape[-2], -1))
         grads.append((np.swapaxes(left, -1, -2) @ e).reshape(core.shape))
         core = core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))
         e = e @ np.swapaxes(core, -1, -2)
-    return grads[::-1]
+    return [e.reshape(c.shape) for c in cores[:1]] + grads[::-1]  # none for an empty half
 
 
 def _split_bond(chain: CoreChain) -> tuple[int, int]:

@@ -242,72 +242,63 @@ class TrainLog:
 
 
 def _init_state(task: SyntheticTask, method: str, hyper: Hyper):
-    """The frozen base and trainable arrays of one method at the task's w0: the chain
-    methods' residual and cores, lora's w0 and factors, full-ft's None and weight."""
+    """The frozen base, core arrays and MpoShape of one method at the task's w0: the chain
+    methods' residual or w0 and cores under the task's shape; lora's w0 and its factors a and
+    b as the cores (1, rows, 1, r) and (r, 1, cols, 1) of MpoShape((rows, 1), (1, cols));
+    full-ft's None and w0 as the one core (1, rows, cols, 1) of MpoShape((rows,), (cols,))."""
     seed = np.random.SeedSequence([task.seed, _STREAM_INIT, _METHOD_IDS[method]])
+    shape, rows, cols = task.shape, task.shape.rows, task.shape.cols
     if method == "dota":
-        adapter = dota_init(task.w0, task.shape, hyper.rank)
-        return adapter.w_res, [c.data for c in adapter.cores.cores]
+        adapter = dota_init(task.w0, shape, hyper.rank)
+        return adapter.w_res, [c.data for c in adapter.cores.cores], shape
     if method == "dota-random":
-        ranks = truncated_ranks(task.shape, hyper.rank)
-        return task.w0, [c.data for c in random_init_cores(task.shape, ranks, seed).cores]
+        ranks = truncated_ranks(shape, hyper.rank)
+        return task.w0, [c.data for c in random_init_cores(shape, ranks, seed).cores], shape
     if method == "lora":
         lora = lora_init(task.w0, hyper.rank, seed)
-        return task.w0, [lora.a, lora.b]
-    return None, [task.w0]
+        return task.w0, [lora.a.reshape(1, rows, 1, -1), lora.b.reshape(-1, 1, cols, 1)], \
+            MpoShape((rows, 1), (1, cols))
+    return None, [task.w0.reshape(1, rows, cols, 1)], MpoShape((rows,), (cols,))
 
 
 class _Stack:
-    """Runs of one kind of method on tasks of one shape: the chain methods, whose core
-    shapes agree (``truncated_ranks`` for both), lora, or full-ft. Each run owns one slot
-    of ``w`` and of ``dw``, slices of the grid's (methods, tasks, rows, cols) weight and
-    gradient buffers; its log and the frozen base and trainable arrays of
-    :func:`_init_state` are stacked the same way. full-ft's trainable array is ``w``."""
+    """Runs of one kind of method on tasks of one shape, each a frozen base plus a core chain
+    of :func:`_init_state`: the chain methods, whose core shapes agree (``truncated_ranks``
+    for both), lora, or full-ft. Each run owns one slot of ``w`` and of ``dw``, slices of the
+    grid's (methods, tasks, rows, cols) weight and gradient buffers; its log, base and cores
+    are stacked the same way."""
 
     def __init__(self, tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper,
                  w: np.ndarray, dw: np.ndarray):
-        bases, params = zip(*(_init_state(task, m, hyper) for m in methods for task in tasks))
-        self.methods, self.shape, self.w, self.dw = tuple(methods), tasks[0].shape, w, dw
-        if bases[0] is None:
-            w[...] = np.reshape(params, w.shape)
-            self.base, self.params = None, [w]
-        else:
-            self.base = np.reshape(bases, w.shape)
-            self.params = [np.reshape(p, w.shape[:2] + p[0].shape) for p in zip(*params)]
-        size = sum(p[0, 0].size for p in self.params)  # the chain methods' shapes agree
+        bases, params, shapes = zip(*(_init_state(task, m, hyper) for m in methods for task in tasks))
+        self.methods, self.shape, self.w = tuple(methods), shapes[0], w
+        self.base = None if bases[0] is None else np.reshape(bases, w.shape)
+        self.params = [np.reshape(p, w.shape[:2] + p[0].shape) for p in zip(*params)]
+        size = sum(p[0, 0].size for p in self.params)
         self.logs = [TrainLog(m, task.seed, asdict(hyper), size) for m in methods for task in tasks]
-        self.lefts: list[np.ndarray] = []  # a chain's L_0..L_{N-1}, kept for its step
-        self.modes = _as_modes(w, self.shape)  # where a chain writes L_N
+        self.lefts: list[np.ndarray] = []  # L_0..L_{N-1}, kept for the step
+        # where L_N is written, and where the step reads the gradient
+        self.modes, self.dmodes = _as_modes(w, self.shape), _as_modes(dw, self.shape)
 
     def weights(self) -> None:
-        """Write every run's effective weight into its slot of ``w``."""
-        if self.base is None:
-            return
-        if self.methods == ("lora",):
-            np.add(self.base, np.matmul(*self.params, out=self.w), out=self.w)
-            return
+        """Write every run's effective weight, base + L_N, into its slot of ``w``."""
         *self.lefts, last = _left_sweep(self.params)
         np.copyto(self.modes, last.reshape(self.modes.shape))
-        np.add(self.w, self.base, out=self.w)  # base + L_N: addition commutes exactly
+        if self.base is not None:
+            np.add(self.w, self.base, out=self.w)  # base + L_N: addition commutes exactly
 
     def zero(self, dead: np.ndarray) -> None:
-        """Zero the weights, trainable arrays and left states of the runs ``dead`` marks, so
-        that their later steps, built or not, stay finite: a zero gradient keeps them zero."""
+        """Zero the weights, cores and left states of the runs ``dead`` marks, so that
+        their later steps, built or not, stay finite: a zero gradient keeps them zero."""
         for a in [self.w] + self.params + self.lefts:
             a[dead] = 0.0
 
     def step(self, lr: float) -> None:
-        """One gradient-descent step of each run at the weights last built, from ``dw``,
-        which it overwrites. NumericError, before any core changes, if a chain's core
+        """One gradient-descent step of each run's cores at the weights last built, from
+        ``dw``, which it may overwrite. NumericError, before any core changes, if a core
         gradient has a non-finite entry."""
-        if self.base is None:
-            grads = [self.dw]
-        elif self.methods == ("lora",):
-            a, b = self.params
-            grads = [self.dw @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ self.dw]
-        else:
-            grads = _core_gradients(self.params, self.lefts, _as_modes(self.dw, self.shape))
-            _finite(*grads, what="core gradient")
+        grads = _core_gradients(self.params, self.lefts, self.dmodes)
+        _finite(*grads, what="core gradient")
         for p, g in zip(self.params, grads):
             g *= lr  # p - lr * g, rounded alike
             np.subtract(p, g, out=p)
@@ -321,7 +312,7 @@ def run_experiment(task: SyntheticTask, method: str, hyper: Hyper) -> TrainLog:
     The batch stream is a function of (task seed, step index) only, so all
     methods on the same task see identical data. Every method takes the same
     step: the dense weight gradient x^T dy of the mean squared error at its
-    effective weight, mapped onto its trainable arrays. The ``train_loss``
+    effective weight, mapped onto its cores. The ``train_loss``
     logged at step t is the loss of the weight after t steps on the batch
     that step t + 1 trains on. A non-finite loss ends the run, leaving the
     partial log with ``diverged`` set; ``diverged_at`` is t if step t is
@@ -340,7 +331,7 @@ def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper)
     once; the residual, both losses and x^T dy are then one numpy call each over
     the whole grid, and each :class:`_Stack` builds and steps its slots with one
     call per stage. A diverged run keeps its slot but is never logged again: its
-    weight and trainable arrays are zeroed once and its residual at every step, so its
+    weight and cores are zeroed once and its residual at every step, so its
     later steps do finite work that nothing reads, until its stack has no live run left."""
     for m in set(methods) - set(METHODS):
         raise ParameterError(f"unknown method {m!r} (expected one of {METHODS})")

@@ -251,7 +251,8 @@ def mpo_decompose(
 
 def _left_sweep(chain, left=None, start: int = 0) -> Iterator[np.ndarray]:
     """Yield L_0 = ones((1, 1)), then L_k, the float64 contraction of cores
-    0..k-1 as a (prod_{m<k} I_m J_m, r_k) matrix, in the interleaved layout.
+    0..k-1 as a (prod_{m<k} I_m J_m, r_k) matrix, in the interleaved layout;
+    L_1 is a fresh float64 copy of core 0, as 1 times it is exact.
     Given rows of some L_start as ``left``, carry them on from core ``start``;
     given eye(r_0), contract cores whose first bond r_0 is not 1.
     ``chain`` is a CoreChain or its core arrays, which may share a leading
@@ -261,7 +262,10 @@ def _left_sweep(chain, left=None, start: int = 0) -> Iterator[np.ndarray]:
     to store them itself.
     """
     cores = [c.data for c in chain.cores] if isinstance(chain, CoreChain) else chain
-    left = np.ones(cores[0].shape[:-4] + (1, 1)) if left is None else left
+    if left is None:
+        lead, first = cores[0].shape[:-4], cores[0]
+        yield np.ones(lead + (1, 1))
+        left, start = first.astype(np.float64).reshape(lead + (-1, first.shape[-1])), 1
     lead = left.shape[:-2]
     yield left
     for core in cores[start:]:

@@ -12,6 +12,7 @@ from dota.mpo import _as_matrix, _as_modes, _left_sweep
 from dota import (
     SHAPE_PRESETS,
     CoreChain,
+    CoreGradients,
     DotaAdapter,
     MpoShape,
     ShapeError,
@@ -528,6 +529,14 @@ class TestTraining:
         other = dota_init(rand((8, 8), seed=31), MpoShape.square([4, 2]), 2)
         with pytest.raises(ShapeError):
             other.apply_gradients(grads, 0.1)
+
+    def test_gradient_count_check(self):
+        adapter = dota_init(rand((8, 8), seed=29), MpoShape.square([2, 4]), 2)
+        grads, _ = adapter.backward(rand((3, 8), seed=30), np.ones((3, 8)))
+        chain = adapter.cores
+        with pytest.raises(ShapeError, match="count"):
+            adapter.apply_gradients(CoreGradients(grads.tensors[:1]), 0.1)
+        assert adapter.cores is chain
 
 
 def test_chain_in_adapter_must_match_shape():

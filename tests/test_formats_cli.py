@@ -101,6 +101,23 @@ class TestMatrixFile:
         with pytest.raises(FormatError):
             write_matrix(tmp_path / "m.dotm", np.zeros((2, 2), dtype=np.int32))
 
+    def test_rejects_non_matrix(self, tmp_path):
+        with pytest.raises(FormatError, match="order-1"):
+            write_matrix(tmp_path / "m.dotm", np.zeros(4))
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (5, bytes([7]), "unknown dtype code 7"),
+        (6, (0).to_bytes(4, "little"), "bad dimensions 0x2"),
+    ], ids=["dtype-code", "zero-rows"])
+    def test_rejects_bad_header_fields(self, tmp_path, offset, value, message):
+        path = tmp_path / "m.dotm"
+        write_matrix(path, rand((2, 2)))
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + len(value)] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=message):
+            read_matrix(path)
+
     def test_oversized_header_raises_before_allocating(self, tmp_path):
         path = tmp_path / "m.dotm"
         write_matrix(path, rand((2, 2)))
@@ -276,6 +293,13 @@ class TestBundleFile:
         garbage = b"DOTC" + bytes([1]) + (7).to_bytes(4, "little") + b"not-js" + b"x"
         path.write_bytes(garbage)
         with pytest.raises(FormatError):
+            read_bundle(path)
+
+    def test_rejects_header_that_is_not_an_object(self, tmp_path):
+        header = b"[1]"
+        path = tmp_path / "b.dotc"
+        path.write_bytes(b"DOTC" + bytes([1]) + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(FormatError, match="JSON object"):
             read_bundle(path)
 
     def test_rejects_deeply_nested_header(self, tmp_path, capsys):

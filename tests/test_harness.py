@@ -13,6 +13,7 @@ from dota import (
     DotaAdapter,
     Hyper,
     MpoShape,
+    NumericError,
     ParameterError,
     ShapeError,
     ablate,
@@ -234,6 +235,8 @@ class TestRunExperiment:
         }
         for method, count in expected.items():
             assert run_experiment(task, method, hyper).trainable_params == count
+        adapter = dota_init(task.w0, SHAPE_64, 8)
+        assert adapter.trainable_params == adapter.cores.num_params == expected["dota"]
 
     def test_divergence_leaves_partial_finite_log(self):
         task = small_task(seed=9)
@@ -451,6 +454,22 @@ class TestAblate:
         lora = next(s for s in stacks if s.methods == ("lora",))
         assert np.isfinite(lora.w).all()  # zeroed as its runs died, not left as they ended
 
+    def test_a_non_finite_lora_gradient_raises_and_leaves_the_factors(self):
+        # lora steps through the chain kernels, so the chain stacks' gradient check covers it
+        w, dw = np.empty((2, 1, 1, 64, 64))
+        stack = dota.harness._Stack([small_task(seed=1)], ["lora"], Hyper(steps=1, lr=0.1, rank=8),
+                                    w, dw)
+        stack.weights()
+        dw[...] = np.random.default_rng(2).standard_normal(dw.shape)
+        dw[0, 0, 3, 5] = np.inf
+        before = [p.copy() for p in stack.params]
+        # as in the grid's loop, where the check, not numpy's warning, reports the fault
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="core gradient"):
+            stack.step(0.1)
+        assert [p.tobytes() for p in stack.params] == [p.tobytes() for p in before]
+        assert [p.shape[2:] for p in stack.params] == [(1, 64, 1, 8), (8, 1, 64, 1)]
+
     def test_standard_grid_peak_memory(self):
         # every seed's task and every method's stacked states are held at once
         config = self.config(steps=500, methods=list(dota.harness.METHODS))
@@ -547,7 +566,11 @@ class TestConfigValidation:
         ("shapes", dict(shapes={"in": 64, "out": 64})),
         ("N", dict(shapes=None, N=True)),
         ("dims", dict(dims=[True, 1], shapes=None, N=1)),
-    ], ids=["str", "float", "bool", "null", "list", "in-string", "in-int", "N-bool", "dims-bool"])
+        ("shapes", dict(shapes=None)),
+        ("shapes", dict(shapes=5)),
+        ("shapes", dict(shapes={"in": [4, 4, 4]})),
+    ], ids=["str", "float", "bool", "null", "list", "in-string", "in-int", "N-bool", "dims-bool",
+            "neither-shapes-nor-N", "shapes-int", "in-only"])
     def test_non_integer_shape_fields_are_named(self, key, overrides):
         # none of these may be coerced to an integer or escape as a raw error
         raw = dict(dims=64, shapes=[4, 4, 4], R=2, steps=1, lr=0.1, seeds=[1],

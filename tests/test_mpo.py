@@ -390,6 +390,10 @@ class TestReconstruct:
         with pytest.raises(ShapeError):
             CoreChain.from_arrays([np.zeros((1, 2, 2, 3)), np.zeros((2, 2, 2, 1))])
 
+    def test_cores_must_be_order_4(self):
+        with pytest.raises(ShapeError, match="order 4"):
+            CoreChain.from_arrays([np.zeros((2, 2))])
+
     def test_boundary_rank_enforced(self):
         with pytest.raises(ShapeError):
             CoreChain.from_arrays([np.zeros((2, 2, 2, 1))])

@@ -195,6 +195,14 @@ class TestQuantize:
             with pytest.raises(ParameterError):
                 qdota_init(np.eye(4), MpoShape.square([2, 2]), 2, block_size)
 
+    @pytest.mark.parametrize("field", ["packed", "absmax"])
+    def test_rejects_arrays_of_the_wrong_size(self, field):
+        q = quantize_nf4(np.ones((4, 4)), 4)
+        arrays = {"packed": q.packed, "absmax": q.absmax}
+        arrays[field] = arrays[field][:-1]
+        with pytest.raises(ShapeError):
+            QuantizedMatrix(arrays["packed"], arrays["absmax"], 4, 4, 4)
+
     @given(st.integers(0, 999), st.sampled_from([1, 3, 16, 64, 100]))
     @settings(deadline=None, max_examples=30)
     def test_roundtrip_bound_property(self, seed, block_size):

@@ -31,6 +31,10 @@ class TestDenseTensor:
         with pytest.raises(ShapeError):
             DenseTensor(np.empty((2, 0)))
 
+    def test_rejects_order_zero(self):
+        with pytest.raises(ShapeError):
+            DenseTensor(np.float64(1.0))
+
     def test_non_float_upcast(self):
         t = DenseTensor(np.array([[1, 2], [3, 4]]))
         assert t.dtype == np.float64
