@@ -23,8 +23,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, _number_problem
-from .mpo import (CoreChain, MpoShape, _as_modes, _deinterleaving, _left_sweep, mpo_decompose,
-                  reconstruct)
+from .mpo import (CoreChain, MpoShape, _as_matrix, _as_modes, _core_gradients, _left_sweep,
+                  mpo_decompose, reconstruct)
 from .tensor_core import _as_readonly, _finite, _real
 
 
@@ -52,22 +52,6 @@ def chain_gradients(chain: CoreChain, dw: np.ndarray) -> CoreGradients:
     return CoreGradients(tuple(_core_gradients(cores, lefts, _as_modes(dw, chain.shape))))
 
 
-def _core_gradients(cores, lefts, e: np.ndarray) -> list[np.ndarray]:
-    """Gradients of sum(E * C) w.r.t. the core arrays, from their left states L_0..L_{N-1}
-    (:func:`_left_sweep`), C being L_N and the float64 E laid out like it (copied C-contiguous
-    first, which fixes the GEMMs' rounding); all may share a leading stack axis. With E
-    contracted with cores k+1..N-1, core k > 0's gradient is L_k^T @ E; E then absorbs core k.
-    Core 0's is E itself: L_0 is the identity, ones((1, 1)) or eye(r_0), so no product is taken."""
-    grads, e = [], np.ascontiguousarray(e)
-    for left, core in zip(reversed(lefts[1:]), reversed(cores[1:])):
-        lead = core.shape[:-4]
-        e = e.reshape(lead + (left.shape[-2], -1))
-        grads.append((np.swapaxes(left, -1, -2) @ e).reshape(core.shape))
-        core = core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))
-        e = e @ np.swapaxes(core, -1, -2)
-    return [e.reshape(c.shape) for c in cores[:1]] + grads[::-1]  # none for an empty half
-
-
 def _split_bond(chain: CoreChain) -> tuple[int, int]:
     """(s, count): the bond 0 < s < N (0 for one core) at which a batch product through the cut
     chain takes the fewest multiply-adds per batch row, J_<s * r_s * I_>=s * (I_<s + J_>=s)."""
@@ -91,15 +75,14 @@ def _halves(chain: CoreChain, s: int | None) -> list[tuple]:
     """The chain cut at bond s (by default :func:`_split_bond`'s): for each half, its cores,
     their left states from eye(bond), its float64 contraction as a matrix, Lp (I_<s, J_<s * r_s)
     or Rp (r_s * I_>=s, J_>=s), with W[(i<, i>), (j<, j>)] = sum_a Lp[i<, (j<, a)] Rp[(a, i>), j>],
-    and the shape and axis order taking a gradient of that matrix back to the contraction's."""
+    and its MpoShape, the bond as one more factor pair, (1, r_s) or (r_s, 1), for mpo's layout."""
     cores, s = [c.data for c in chain.cores], _split_bond(chain)[0] if s is None else s
+    i, j, r = chain.shape.in_factors, chain.shape.out_factors, chain.ranks[s]
     halves = []
-    for part, bond in ((cores[:s], 1), (cores[s:], chain.ranks[s])):
+    for part, bond, half in ((cores[:s], 1, MpoShape(i[:s] + (1,), j[:s] + (r,))),
+                             (cores[s:], r, MpoShape((r,) + i[s:], (1,) + j[s:]))):
         *lefts, c = _left_sweep(part, np.eye(bond))
-        order = (0, *(1 + a for a in _deinterleaving(len(part))), 2 * len(part) + 1)
-        split = np.transpose(c.reshape(bond, *(m for k in part for m in k.shape[1:3]), -1), order)
-        halves.append((part, lefts, split.reshape(math.prod(split.shape[:len(part) + 1]), -1),
-                       split.shape, np.argsort(order)))
+        halves.append((part, lefts, _as_matrix(c, half), half))
     return halves
 
 
@@ -129,9 +112,9 @@ def _chain_backward(x: np.ndarray, dy: np.ndarray, chain: CoreChain,
     g_rp = t.T @ dyr
     dt = np.matmul(dyr, rp.T, out=t).reshape(xr.shape[0], lp.shape[1], xr.shape[2])  # t is spent
     dx = np.matmul(lp, dt).reshape(x.shape).astype(np.result_type(dy, chain.dtype), copy=False)
-    grads = [g for (part, lefts, _, shape, back), gm in zip(
+    grads = [g for (part, lefts, _, half), gm in zip(
                  halves, (np.matmul(xr, np.swapaxes(dt, 1, 2)).sum(0), g_rp))
-             for g in _core_gradients(part, lefts, np.transpose(gm.reshape(shape), back))]
+             for g in _core_gradients(part, lefts, _as_modes(gm, half))]
     return CoreGradients(tuple(grads)), dx
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import FormatError, NumericError, ParameterError, ShapeError
 from .mpo import CoreChain, MpoShape
 from .quant import QuantizedMatrix
-from .tensor_core import _finite, _real
+from .tensor_core import _asarray, _finite, _real
 
 MATRIX_MAGIC = b"DOTM"
 BUNDLE_MAGIC = b"DOTC"
@@ -106,11 +106,20 @@ class _Cursor:
             raise FormatError(f"{self.left} bytes follow the last payload")
 
 
+def _check_dimensions(rows: int, cols: int) -> None:
+    """FormatError unless both fit the header's u32 fields and neither is 0."""
+    if not (0 < rows < 1 << 32 and 0 < cols < 1 << 32):
+        raise FormatError(f"bad dimensions {rows}x{cols}: each must be from 1 to 2**32 - 1")
+
+
 def write_matrix(path, matrix: np.ndarray) -> None:
-    """Write a 2-D float32/float64 array as a matrix file."""
-    m = np.asarray(matrix)
+    """Write a 2-D float32/float64 array as a matrix file. A ragged nested list raises
+    ShapeError, and any other order, dtype or dimension read_matrix refuses FormatError,
+    before the file is opened."""
+    m = _asarray(matrix, "matrix")
     if m.ndim != 2:
         raise FormatError(f"expected a matrix, got order-{m.ndim} data")
+    _check_dimensions(*m.shape)
     code, _, dtype = _dtype_entry(1, np.dtype(m.dtype))
     with open(path, "wb") as fh:
         fh.write(_MATRIX_HEADER.pack(MATRIX_MAGIC, FORMAT_VERSION, code, *m.shape))
@@ -124,8 +133,7 @@ def read_matrix(path) -> np.ndarray:
         dtype_code, rows, cols = cursor.fields
         if dtype_code >= len(_DTYPES):
             raise FormatError(f"unknown dtype code {dtype_code}")
-        if rows < 1 or cols < 1:
-            raise FormatError(f"bad dimensions {rows}x{cols}")
+        _check_dimensions(rows, cols)
         matrix = cursor.array(_DTYPES[dtype_code][1], rows * cols, "payload").reshape(rows, cols)
         cursor.end()
     return matrix

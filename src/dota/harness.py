@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapter import _core_gradients, dota_init
+from .adapter import dota_init
 from .errors import (DotaError, ParameterError, ShapeError, _count_problem, _counts_problem,
                      _number_problem, _reject)
 from .mpo import (
@@ -26,6 +26,7 @@ from .mpo import (
     CoreChain,
     MpoShape,
     _as_modes,
+    _core_gradients,
     _left_sweep,
     mpo_decompose,
     reconstruct,
@@ -149,13 +150,19 @@ def make_task(
     )
 
 
+def _seeded(seed) -> np.random.Generator:
+    """A generator from a SeedSequence or an integer >= 0; else ParameterError naming ``seed``."""
+    _reject(seed=None if isinstance(seed, np.random.SeedSequence) else _count_problem(seed, 0))
+    return np.random.default_rng(seed)
+
+
 def random_init_cores(shape: MpoShape, ranks: Sequence[int], seed) -> CoreChain:
     """Gaussian cores of std 1/sqrt(rows) except the last, which is zero, so
     the chain's contraction vanishes and training starts at the frozen base
-    weight."""
+    weight. ``seed`` is an integer >= 0 or a SeedSequence."""
     *drawn, last = shape.core_shapes(ranks)
     sigma = 1.0 / math.sqrt(shape.rows)
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     return CoreChain.from_arrays([rng.normal(0.0, sigma, s) for s in drawn] + [np.zeros(last)])
 
 
@@ -182,11 +189,12 @@ class LoraBaseline:
 
 
 def lora_init(w0: np.ndarray, rank: int, seed) -> LoraBaseline:
-    """LoRA factors, ``a`` of std 1/sqrt(rows) and ``b`` zero, for the real matrix w0."""
+    """LoRA factors, ``a`` of std 1/sqrt(rows) and ``b`` zero, for the real matrix w0;
+    ``seed`` is an integer >= 0 or a SeedSequence."""
     _reject(rank=_count_problem(rank, 1))
     w0 = _real(w0, "matrix", ndim=2)
     rows, cols = w0.shape
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     a = rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, rank))
     b = np.zeros((rank, cols))
     return LoraBaseline(w0=w0, a=a, b=b)

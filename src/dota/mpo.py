@@ -249,12 +249,12 @@ def mpo_decompose(
         return CoreChain.from_arrays([c.astype(w.dtype, copy=False) for c in cores])
 
 
-def _left_sweep(chain, left=None, start: int = 0) -> Iterator[np.ndarray]:
+def _left_sweep(chain, left=None) -> Iterator[np.ndarray]:
     """Yield L_0 = ones((1, 1)), then L_k, the float64 contraction of cores
     0..k-1 as a (prod_{m<k} I_m J_m, r_k) matrix, in the interleaved layout;
     L_1 is a fresh float64 copy of core 0, as 1 times it is exact.
-    Given rows of some L_start as ``left``, carry them on from core ``start``;
-    given eye(r_0), contract cores whose first bond r_0 is not 1.
+    Given ``left`` (rows of an L_k, or eye(r_0)), yield it and carry it on
+    through every core of ``chain``: the cores after L_k, or a half-chain's.
     ``chain`` is a CoreChain or its core arrays, which may share a leading
     stack axis: each L_k then has it too, and each product is one matmul.
 
@@ -263,15 +263,31 @@ def _left_sweep(chain, left=None, start: int = 0) -> Iterator[np.ndarray]:
     """
     cores = [c.data for c in chain.cores] if isinstance(chain, CoreChain) else chain
     if left is None:
-        lead, first = cores[0].shape[:-4], cores[0]
-        yield np.ones(lead + (1, 1))
-        left, start = first.astype(np.float64).reshape(lead + (-1, first.shape[-1])), 1
+        first, *cores = cores
+        yield np.ones(first.shape[:-4] + (1, 1))
+        left = first.astype(np.float64).reshape(first.shape[:-4] + (-1, first.shape[-1]))
     lead = left.shape[:-2]
     yield left
-    for core in cores[start:]:
+    for core in cores:
         left = left @ core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))
         left = left.reshape(lead + (-1, core.shape[-1]))
         yield left
+
+
+def _core_gradients(cores, lefts, e: np.ndarray) -> list[np.ndarray]:
+    """Gradients of sum(E * C) w.r.t. the core arrays, the backward kernel of :func:`_left_sweep`,
+    from their left states L_0..L_{N-1}, C being L_N and the float64 E laid out like it (copied
+    C-contiguous first, which fixes the GEMMs' rounding); all may share a leading stack axis. With
+    E contracted with cores k+1..N-1, core k > 0's gradient is L_k^T @ E; E then absorbs core k.
+    Core 0's is E itself: L_0 is the identity, ones((1, 1)) or eye(r_0), so no product is taken."""
+    grads, e = [], np.ascontiguousarray(e)
+    for left, core in zip(reversed(lefts[1:]), reversed(cores[1:])):
+        lead = core.shape[:-4]
+        e = e.reshape(lead + (left.shape[-2], -1))
+        grads.append((np.swapaxes(left, -1, -2) @ e).reshape(core.shape))
+        core = core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))
+        e = e @ np.swapaxes(core, -1, -2)
+    return [e.reshape(c.shape) for c in cores[:1]] + grads[::-1]  # none for an empty half
 
 
 def _lead_axes(lead: int, axes: Sequence[int]) -> tuple[int, ...]:
@@ -304,9 +320,8 @@ def reconstruct(chain: CoreChain) -> np.ndarray:
     panel (one row would go through GEMV), each panel is contracted through
     the remaining cores and written straight into W's layout: the result is
     the only full-size array, with the same bytes as when built in one piece."""
-    shape, n = chain.shape, len(chain)
+    shape, cores = chain.shape, [c.data for c in chain.cores]
     panels = shape.in_factors[0] * shape.out_factors[0]
-    modes = shape._axes[0]
     # Whether each core's product splits by rows exactly (False for a small matrix). A
     # DGEMM kernel may round a row differently by where it falls in the kernel's row
     # blocks: on OpenBLAS 0.3.31, a split product changed in the last bits with a column
@@ -314,21 +329,19 @@ def reconstruct(chain: CoreChain) -> np.ndarray:
     # panel whose row count is not a multiple of 4. Checked on the Haswell, SkylakeX
     # and Sandybridge kernels.
     exact = shape.rows * shape.cols > _PANEL and [
-        i * j * r1 % 16 == 0 and r0 <= 256 for r0, i, j, r1 in (c.shape for c in chain.cores)]
-    for k, left in enumerate(_left_sweep(chain)):
-        if exact and k < n and len(left) > panels and len(left) // panels % 4 == 0 \
+        i * j * r1 % 16 == 0 and r0 <= 256 for r0, i, j, r1 in (c.shape for c in cores)]
+    for k, left in enumerate(_left_sweep(cores)):
+        if exact and k < len(cores) and len(left) > panels and len(left) // panels % 4 == 0 \
                 and all(exact[k:]):
             break
     else:  # L_N is (prod I_k J_k, 1) in the interleaved layout (i_1, j_1, ...)
         return np.ascontiguousarray(_as_matrix(left, shape).astype(chain.dtype, copy=False))
     out = np.empty((shape.rows, shape.cols), dtype=chain.dtype)
-    separated = out.reshape(shape.in_factors + shape.out_factors)
+    blocks, modes = _as_modes(out, shape), shape._axes[0]
     for p, rows in enumerate(np.split(left, panels)):
-        for panel in _left_sweep(chain, rows, k):
+        for panel in _left_sweep(cores[k:], rows):
             pass
-        i, j = divmod(p, shape.out_factors[0])
-        separated[(i,) + (slice(None),) * (n - 1) + (j,)] = np.transpose(
-            panel.reshape(modes[2:]), _deinterleaving(n - 1))
+        blocks[divmod(p, shape.out_factors[0])] = panel.reshape(modes[2:])
     return out
 
 

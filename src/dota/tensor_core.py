@@ -14,15 +14,20 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 
+def _asarray(a, what: str) -> np.ndarray:
+    """``a`` as an array; ShapeError, naming ``what``, for a ragged nested list."""
+    try:
+        return np.asarray(a)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ShapeError(f"{what}: {exc}") from None
+
+
 def _real(a, what: str, ndim: int | None = None) -> np.ndarray:
     """``a`` as an array of reals: float32 and float64 as they are, any other bool,
     integer or float dtype cast to float64. ShapeError, naming ``what``, for any
     other dtype (complex, object, string, ...), for a ragged nested list, or for an
     order other than ``ndim``."""
-    try:
-        a = np.asarray(a)
-    except ValueError as exc:  # numpy's "inhomogeneous shape"
-        raise ShapeError(f"{what}: {exc}") from None
+    a = _asarray(a, what)
     if a.dtype.kind not in "biuf":
         raise ShapeError(f"{what}: expected real numbers, got dtype {a.dtype}")
     if ndim is not None and a.ndim != ndim:

@@ -12,6 +12,7 @@ from dota import (
     FormatError,
     MpoShape,
     SHAPE_PRESETS,
+    ShapeError,
     dequantize_nf4,
     mpo_decompose,
     param_count,
@@ -104,6 +105,21 @@ class TestMatrixFile:
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(FormatError, match="order-1"):
             write_matrix(tmp_path / "m.dotm", np.zeros(4))
+
+    def test_rejects_ragged_list_before_opening(self, tmp_path):
+        path = tmp_path / "m.dotm"
+        with pytest.raises(ShapeError):
+            write_matrix(path, [[1.0, 2.0], [3.0]])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2**32, 0), (1, 2**32), (2**32, 1)],
+                             ids=["0x0", "0x3", "3x0", "2^32x0", "1x2^32", "2^32x1"])
+    def test_refuses_dimensions_the_reader_refuses_before_opening(self, tmp_path, shape):
+        path = tmp_path / "m.dotm"
+        m = np.broadcast_to(np.zeros((1, 1)), shape)  # a view: no payload is allocated
+        with pytest.raises(FormatError, match="bad dimensions"):
+            write_matrix(path, m)
+        assert not path.exists()
 
     @pytest.mark.parametrize("offset, value, message", [
         (5, bytes([7]), "unknown dtype code 7"),

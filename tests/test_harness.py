@@ -168,6 +168,11 @@ class TestRandomInit:
         with pytest.raises(ShapeError):
             random_init_cores(SHAPE_64, ranks, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            random_init_cores(SHAPE_64, truncated_ranks(SHAPE_64, 8), seed)
+
 
 class TestTask:
     def test_perturbation_ratio_recorded(self):
@@ -341,6 +346,11 @@ class TestLora:
     def test_bad_rank(self, rank):
         with pytest.raises(ParameterError):
             lora_init(np.zeros((8, 8)), rank, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            lora_init(np.zeros((8, 8)), 2, seed)
 
 
 class TestAblate:

@@ -97,6 +97,16 @@ def panel_chains(draw, budget=1 << 16):
     return random_chain(shape, ranks, dtype, seed=draw(st.integers(0, 99)))
 
 
+@st.composite
+def half_shapes(draw):
+    """An MpoShape as the adapter's split-bond halves take one: 0-3 factor pairs
+    of 1-4 and the bond r as one more pair, (1, r) after them or (r, 1) before."""
+    i, j = (tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+            for n in [draw(st.integers(0, 3))] * 2)
+    r = draw(st.integers(1, 5))
+    return MpoShape(i + (1,), j + (r,)) if draw(st.booleans()) else MpoShape((r,) + i, (1,) + j)
+
+
 def tol(dtype, f64):
     """A float64 tolerance, or 1e-6 for float32 cores, which carry the cast's
     rounding (about 6e-8 relative)."""
@@ -190,6 +200,15 @@ class TestReorder:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             reorder_for_mpo(rand((4, 5)), MpoShape.square([2, 2]))
+
+    @given(half_shapes(), st.lists(st.integers(1, 3), max_size=2), st.integers(0, 99))
+    @settings(deadline=None, max_examples=100)
+    def test_as_matrix_undoes_as_modes_on_half_shapes(self, shape, lead, seed):
+        w = rand(tuple(lead) + (shape.rows, shape.cols), seed)
+        modes = np.ascontiguousarray(mpo._as_modes(w, shape))
+        back = mpo._as_matrix(modes.reshape(tuple(lead) + (-1, modes.shape[-1])), shape)
+        assert back.shape == w.shape and back.dtype == w.dtype
+        assert back.tobytes() == w.tobytes()
 
 
 class TestDecompose:

@@ -192,6 +192,7 @@ PRODUCTS = {
 }
 
 RAGGED = [[1.0, 2.0], [3.0]]  # a nested list numpy cannot make an array of
+BAD_SEEDS = (-1, 1.5, "x")  # numpy's default_rng raises ValueError or TypeError for these
 
 CONFIG = dict(dims=16, shapes=[4, 4], R=2, steps=1, lr=0.1, seeds=[1], methods=["dota"],
               r_delta=2, delta_scale=0.05)
@@ -259,6 +260,8 @@ REGISTRY = {
         **takes(lambda w, path: lora_init(w, 2, 0)),
         "vector": lambda path: lora_init(np.ones(4), 2, 0),
         "bool-count": lambda path: lora_init(rand((16, 16)), True, 0),
+        **{f"seed-{seed}": (lambda path, seed=seed: lora_init(rand((16, 16)), 2, seed))
+           for seed in BAD_SEEDS},
     },
     "make_task": {
         "delta-1e308": lambda path: make_task(SHAPE, 2, 1e308),
@@ -280,7 +283,11 @@ REGISTRY = {
         "ragged": lambda path: quantize_nf4(RAGGED),
         "bool-count": lambda path: quantize_nf4(rand((16, 16)), True),
     },
-    "random_init_cores": {"bool-count": lambda path: random_init_cores(SHAPE, [1, True, 1], 0)},
+    "random_init_cores": {
+        "bool-count": lambda path: random_init_cores(SHAPE, [1, True, 1], 0),
+        **{f"seed-{seed}": (lambda path, seed=seed: random_init_cores(SHAPE, [1, 2, 1], seed))
+           for seed in BAD_SEEDS},
+    },
     "read_bundle": TAKES_NO_ARRAY,  # takes a path; tests/test_formats_cli.py mutates the files
     "read_matrix": TAKES_NO_ARRAY,
     "reconstruct": TAKES_NO_ARRAY,  # takes a chain, finite by construction; a product
@@ -294,7 +301,10 @@ REGISTRY = {
         "float32-1e308": lambda path: write_bundle(
             path, mpo_decompose(rand((16, 16)).astype(np.float32), SHAPE, 2), np.full((16, 16), 1e308)),
     },
-    "write_matrix": takes(lambda w, path: write_matrix(path, w)),
+    "write_matrix": {
+        **takes(lambda w, path: write_matrix(path, w)),
+        "ragged": lambda path: write_matrix(path, RAGGED),
+    },
 }
 
 
