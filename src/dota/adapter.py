@@ -12,12 +12,23 @@ dx and their gradients in two GEMMs each way; the core-gradient loop of
 x^T dy is formed. Where that costs more multiply-adds, as for large batches
 on small layers, a step multiplies by the reconstructed chain instead and
 takes the gradients from x^T dy through :func:`chain_gradients`.
+
+On the split-bond path the frozen residual's product, x @ w_res forward and
+dy @ w_res.T backward, runs on one helper thread while the calling thread
+takes the chain's products; the sum is the same either way, byte for byte,
+at any BLAS thread count. The thread is started on first use (never at
+import) and again in a forked child; it runs numpy only, under the caller's
+errstate, and takes no product below ``_OVERLAP`` multiply-adds. It gains
+only where BLAS leaves a core idle, as with one BLAS thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -71,16 +82,23 @@ def _sweep_is_cheaper(chain: CoreChain, batch: int) -> bool:
     return batch * _split_bond(chain)[1] <= (batch + 1) * shape.rows * shape.cols + rebuild
 
 
+@lru_cache
+def _half_shapes(shape: MpoShape, s: int, r: int) -> tuple[MpoShape, MpoShape]:
+    """The MpoShapes of a chain's halves cut at bond s of rank r, the bond as one
+    more factor pair, (1, r) or (r, 1); built once per cut, like their ``_axes``."""
+    i, j = shape.in_factors, shape.out_factors
+    return MpoShape(i[:s] + (1,), j[:s] + (r,)), MpoShape((r,) + i[s:], (1,) + j[s:])
+
+
 def _halves(chain: CoreChain, s: int | None) -> list[tuple]:
     """The chain cut at bond s (by default :func:`_split_bond`'s): for each half, its cores,
     their left states from eye(bond), its float64 contraction as a matrix, Lp (I_<s, J_<s * r_s)
     or Rp (r_s * I_>=s, J_>=s), with W[(i<, i>), (j<, j>)] = sum_a Lp[i<, (j<, a)] Rp[(a, i>), j>],
-    and its MpoShape, the bond as one more factor pair, (1, r_s) or (r_s, 1), for mpo's layout."""
+    and its MpoShape (:func:`_half_shapes`) for mpo's layout."""
     cores, s = [c.data for c in chain.cores], _split_bond(chain)[0] if s is None else s
-    i, j, r = chain.shape.in_factors, chain.shape.out_factors, chain.ranks[s]
+    r = chain.ranks[s]
     halves = []
-    for part, bond, half in ((cores[:s], 1, MpoShape(i[:s] + (1,), j[:s] + (r,))),
-                             (cores[s:], r, MpoShape((r,) + i[s:], (1,) + j[s:]))):
+    for part, bond, half in zip((cores[:s], cores[s:]), (1, r), _half_shapes(chain.shape, s, r)):
         *lefts, c = _left_sweep(part, np.eye(bond))
         halves.append((part, lefts, _as_matrix(c, half), half))
     return halves
@@ -118,6 +136,70 @@ def _chain_backward(x: np.ndarray, dy: np.ndarray, chain: CoreChain,
     return CoreGradients(tuple(grads)), dx
 
 
+# A residual product of fewer multiply-adds (batch * rows * cols) than this runs on
+# the calling thread: a round trip to the helper thread costs about 75 us. With one
+# BLAS thread on a 2-vCPU Xeon, forward plus backward through the helper lost below
+# it (1.5-2.7x at 64 and 256 rows, batch 1-8) and gained from it up at 512 and 1024
+# rows (16-35%); 256 rows at batch 16-64 came out about even.
+_OVERLAP = 1 << 20
+
+_helper_jobs = None  # the helper thread's job queue, made on first use
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """In a forked child: the helper thread is not there, so the next product starts one."""
+    global _helper_jobs, _helper_lock
+    _helper_jobs, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(jobs) -> None:
+    """The helper thread: a @ b for each job, under the caller's errstate (a thread
+    starts with numpy's default one), and only numpy, so every dota call stays on
+    the caller's thread. What the product raises goes back to the caller."""
+    while True:
+        a, b, err, call, reply = jobs.get()
+        try:
+            with np.errstate(call=call, **err):
+                out = a @ b, None
+        except BaseException as error:  # the caller raises it
+            out = None, error
+        reply.put(out)
+        del a, b, out, reply  # hold no array while idle
+
+
+def _start_product(a: np.ndarray, b: np.ndarray):
+    """a @ b, begun now, as a function that waits for it and returns it or raises what
+    it raised: on the helper thread from ``_OVERLAP`` multiply-adds up, so the caller's
+    own products overlap it, and below that at once, on the calling thread."""
+    if a.shape[0] * a.shape[1] * b.shape[1] < _OVERLAP:
+        out = a @ b
+        return lambda: out
+    from queue import SimpleQueue  # here, so that `import dota` does not pay for it
+
+    global _helper_jobs
+    with _helper_lock:
+        if _helper_jobs is None:
+            _helper_jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(_helper_jobs,), name="dota-residual",
+                             daemon=True).start()
+        jobs = _helper_jobs
+    reply = SimpleQueue()
+    jobs.put((a, b, np.geterr(), np.geterrcall(), reply))
+
+    def result():
+        out, error = reply.get()
+        if error is not None:
+            raise error
+        return out
+
+    return result
+
+
 @dataclass(eq=False)
 class DotaAdapter:
     """Frozen residual matrix plus a trainable core chain for one layer.
@@ -150,12 +232,18 @@ class DotaAdapter:
         """y = x @ w_res + x @ reconstruct(cores); the two branches are kept
         separate so the frozen and trainable paths stay distinguishable.
         The chain's branch is the split-bond product wherever that takes
-        fewer multiply-adds than forming the delta."""
+        fewer multiply-adds than forming the delta; there the residual's
+        product runs on the helper thread meanwhile."""
         x = _real(x, "input")
         if x.ndim != 2 or x.shape[1] != self.shape.rows:
             raise ShapeError(f"input shape {x.shape} does not match weight rows {self.shape.rows}")
         if _sweep_is_cheaper(self.cores, x.shape[0]):
-            return x @ self.w_res + _chain_forward(x, self.cores)
+            residual = _start_product(x, self.w_res)
+            try:
+                chain = _chain_forward(x, self.cores)
+            finally:  # wait for the residual even when the chain raised; its error wins
+                y = residual()
+            return y + chain
         return x @ self.w_res + x @ reconstruct(self.cores)
 
     def backward(self, x: np.ndarray, dy: np.ndarray) -> tuple[CoreGradients, np.ndarray]:
@@ -163,7 +251,8 @@ class DotaAdapter:
 
         ``dy`` is the loss gradient at the output. Where the split-bond products
         take fewer multiply-adds, they give the core gradients and the chain's
-        share of dx, which adds to dy @ w_res.T. Otherwise the weight
+        share of dx, which adds to dy @ w_res.T, taken on the helper thread
+        meanwhile. Otherwise the weight
         gradient x^T dy goes through :func:`chain_gradients` and dx uses the
         merged effective weight, which is algebraically identical.
         """
@@ -172,8 +261,12 @@ class DotaAdapter:
         if x.shape[0] != dy.shape[0] or (x.shape[1], dy.shape[1]) != weight:
             raise ShapeError(f"x {x.shape} / dy {dy.shape}: batches differ or weight is not {weight}")
         if _sweep_is_cheaper(self.cores, x.shape[0]):
-            grads, dx = _chain_backward(x, dy, self.cores)
-            return grads, dy @ self.w_res.T + dx
+            residual = _start_product(dy, self.w_res.T)
+            try:
+                grads, dx = _chain_backward(x, dy, self.cores)
+            finally:
+                dx_res = residual()
+            return grads, dx_res + dx
         return chain_gradients(self.cores, x.T @ dy), dy @ self.merge().T
 
     def apply_gradients(self, grads: CoreGradients, lr: float) -> None:

@@ -1,4 +1,9 @@
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -7,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dota.adapter
+from blas_threads import at_one_and_two_threads
 from dota.adapter import _chain_backward, _chain_forward, _split_bond, _sweep_is_cheaper
 from dota.mpo import _as_matrix, _as_modes, _left_sweep
 from dota import (
@@ -20,6 +26,7 @@ from dota import (
     dota_init,
     mpo_decompose,
     param_count,
+    qdota_init,
     reconstruct,
     reorder_for_mpo,
     truncated_ranks,
@@ -552,3 +559,126 @@ def test_reconstruct_of_adapter_chain_is_consistent():
     assert np.allclose(
         adapter.merge(), adapter.w_res + reconstruct(adapter.cores), atol=1e-14
     )
+
+
+PRESET = MpoShape.square(SHAPE_PRESETS[1024])
+
+
+@pytest.fixture(scope="module")
+def preset_adapters():
+    w0 = rand((PRESET.rows, PRESET.cols), seed=70)
+    return {"dense": dota_init(w0, PRESET, 8), "nf4": qdota_init(w0, PRESET, 8)}
+
+
+def huge_step(adapter, which, sequential=False):
+    """y, or dx, of a batch of 1e308 (as x, or as dy): through the adapter, or as the
+    residual's product plus the chain's, one after the other on this thread."""
+    big = np.full((32, PRESET.rows), 1e308)
+    if which == "forward":
+        return (big @ adapter.w_res + _chain_forward(big, adapter.cores) if sequential
+                else adapter.forward(big))
+    x = rand((32, PRESET.rows), seed=73)
+    return (big @ adapter.w_res.T + _chain_backward(x, big, adapter.cores)[1] if sequential
+            else adapter.backward(x, big)[1])
+
+
+class TestOverlap:
+    """The residual's product on the helper thread, beside the chain's split-bond products."""
+
+    @pytest.mark.parametrize("kind", ["dense", "nf4"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    def test_bytes_equal_the_sequential_sum(self, preset_adapters, kind, dtype, batch):
+        adapter = preset_adapters[kind]
+        assert batch * PRESET.rows * PRESET.cols >= dota.adapter._OVERLAP
+        x = rand((batch, PRESET.rows), seed=71).astype(dtype)
+        dy = rand((batch, PRESET.cols), seed=72).astype(dtype)
+
+        def outputs():
+            grads, dx = adapter.backward(x, dy)
+            ref_grads, ref_dx = _chain_backward(x, dy, adapter.cores)
+            return ([adapter.forward(x), dx, *grads.tensors],
+                    [x @ adapter.w_res + _chain_forward(x, adapter.cores),
+                     dy @ adapter.w_res.T + ref_dx, *ref_grads.tensors])
+
+        for got, ref in at_one_and_two_threads(outputs):
+            assert [a.dtype for a in got] == [a.dtype for a in ref]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+    @pytest.mark.parametrize("which", ["forward", "backward"])
+    def test_ignored_overflow_gives_non_finite_output_and_no_warning(self, preset_adapters,
+                                                                     which):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = huge_step(preset_adapters["dense"], which)
+        assert not np.isfinite(out).all()
+
+    @pytest.mark.parametrize("which", ["forward", "backward"])
+    def test_raised_overflow_reaches_the_caller(self, preset_adapters, which):
+        adapter = preset_adapters["dense"]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError) as got:
+                huge_step(adapter, which)
+            with pytest.raises(FloatingPointError) as want:
+                huge_step(adapter, which, sequential=True)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("which", ["forward", "backward"])
+    def test_default_errstate_warns_as_the_sequential_path(self, preset_adapters, which):
+        adapter = preset_adapters["dense"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+                with pytest.raises(RuntimeWarning) as got:
+                    huge_step(adapter, which)
+                with pytest.raises(RuntimeWarning) as want:
+                    huge_step(adapter, which, sequential=True)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_a_helper_of_its_own(self, preset_adapters):
+        adapter = preset_adapters["dense"]
+        x = rand((32, PRESET.rows), seed=74)
+        y = adapter.forward(x)  # the helper thread is running now
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn that a forked child gets only the forking thread.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(20)  # a child left waiting on the parent's helper dies of SIGALRM
+                code = 0 if adapter.forward(x).tobytes() == y.tobytes() else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_one_helper_thread_starts_on_the_first_large_product(self):
+        script = """if True:
+            import threading
+            import numpy as np
+            import dota
+            from dota import CoreChain, DotaAdapter, MpoShape, SHAPE_PRESETS, truncated_ranks
+            counts = [threading.active_count()]
+            def adapter(factors):
+                shape = MpoShape.square(factors)
+                cores = [np.zeros(s) for s in shape.core_shapes(truncated_ranks(shape, 8))]
+                return DotaAdapter(np.zeros((shape.rows, shape.cols)),
+                                   CoreChain.from_arrays(cores), shape)
+            for factors, batch in (((4, 4, 4), 2), ((4, 4, 4, 4, 4), 1), ((4, 4, 4, 4, 4), 32)):
+                layer, x = adapter(factors), np.ones((batch, 4 ** len(factors)))
+                layer.backward(x, layer.forward(x))
+                counts.append(threading.active_count())
+            print(*counts)
+        """
+        src = os.path.dirname(os.path.dirname(dota.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        # import, a 64x64 product below the size rule, then two 1024 ones above it
+        assert run.stdout.split() == ["1", "1", "2", "2"]
