@@ -14,12 +14,13 @@ on small layers, a step multiplies by the reconstructed chain instead and
 takes the gradients from x^T dy through :func:`chain_gradients`.
 
 On the split-bond path the frozen residual's product, x @ w_res forward and
-dy @ w_res.T backward, runs on one helper thread while the calling thread
-takes the chain's products; the sum is the same either way, byte for byte,
-at any BLAS thread count. The thread is started on first use (never at
-import) and again in a forked child; it runs numpy only, under the caller's
-errstate, and takes no product below ``_OVERLAP`` multiply-adds. It gains
-only where BLAS leaves a core idle, as with one BLAS thread.
+dy @ w_res.T backward, runs on a helper thread while the calling thread
+takes the chain's products, where that was measured to gain: a product of
+at least ``_OVERLAP`` multiply-adds while OpenBLAS runs one thread and the
+process may use another core. It is one daemon thread, started by the first
+such product (never at import) and again in a forked child; it runs numpy
+only, under the caller's errstate. The sum is the same, byte for byte, either
+way.
 """
 
 from __future__ import annotations
@@ -143,6 +144,39 @@ def _chain_backward(x: np.ndarray, dy: np.ndarray, chain: CoreChain,
 # rows (16-35%); 256 rows at batch 16-64 came out about even.
 _OVERLAP = 1 << 20
 
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The thread-count getter of the OpenBLAS that numpy's matmul calls (the bundled
+    scipy_openblas64_ or a system build, found through ctypes), or None for another BLAS."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        get = getattr(lib, symbol, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get
+    return None
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a @ b runs on a helper thread: only where that was measured to gain, a
+    product of at least ``_OVERLAP`` multiply-adds while OpenBLAS runs one thread and
+    the process may use another core. Where BLAS already keeps the cores busy (two
+    BLAS threads on two cores), a helper made a 1024 step about 5% slower."""
+    if a.shape[0] * a.shape[1] * b.shape[1] < _OVERLAP:
+        return False
+    threads = _openblas_threads()
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return threads is not None and threads() == 1 and (cores or 1) > 1
+
+
 _helper_jobs = None  # the helper thread's job queue, made on first use
 _helper_lock = threading.Lock()
 
@@ -174,9 +208,9 @@ def _serve(jobs) -> None:
 
 def _start_product(a: np.ndarray, b: np.ndarray):
     """a @ b, begun now, as a function that waits for it and returns it or raises what
-    it raised: on the helper thread from ``_OVERLAP`` multiply-adds up, so the caller's
-    own products overlap it, and below that at once, on the calling thread."""
-    if a.shape[0] * a.shape[1] * b.shape[1] < _OVERLAP:
+    it raised: on the helper thread where :func:`_overlaps`, so the caller's own
+    products overlap it, and otherwise at once, on the calling thread."""
+    if not _overlaps(a, b):
         out = a @ b
         return lambda: out
     from queue import SimpleQueue  # here, so that `import dota` does not pay for it
@@ -233,7 +267,7 @@ class DotaAdapter:
         separate so the frozen and trainable paths stay distinguishable.
         The chain's branch is the split-bond product wherever that takes
         fewer multiply-adds than forming the delta; there the residual's
-        product runs on the helper thread meanwhile."""
+        product may run on a helper thread meanwhile (:func:`_start_product`)."""
         x = _real(x, "input")
         if x.ndim != 2 or x.shape[1] != self.shape.rows:
             raise ShapeError(f"input shape {x.shape} does not match weight rows {self.shape.rows}")
@@ -251,8 +285,8 @@ class DotaAdapter:
 
         ``dy`` is the loss gradient at the output. Where the split-bond products
         take fewer multiply-adds, they give the core gradients and the chain's
-        share of dx, which adds to dy @ w_res.T, taken on the helper thread
-        meanwhile. Otherwise the weight
+        share of dx, which adds to dy @ w_res.T, taken meanwhile on a helper
+        thread where that gains (:func:`_start_product`). Otherwise the weight
         gradient x^T dy goes through :func:`chain_gradients` and dx uses the
         merged effective weight, which is algebraically identical.
         """

@@ -7,6 +7,7 @@ at both. Where the switch is missing (another BLAS), the calling test skips
 and says why.
 """
 
+import contextlib
 import ctypes
 import glob
 import os
@@ -29,8 +30,9 @@ def _thread_switch():
     return None
 
 
-def at_one_and_two_threads(fn):
-    """(fn() at one BLAS thread, fn() at two); the count in use before is restored."""
+@contextlib.contextmanager
+def blas_threads(n):
+    """Run the block at n OpenBLAS threads; the count in use before is restored."""
     switch = _thread_switch()
     if switch is None:
         pytest.skip("numpy's BLAS exports no OpenBLAS thread-count switch "
@@ -38,11 +40,17 @@ def at_one_and_two_threads(fn):
     get, set_ = switch
     before = get()
     try:
-        results = []
-        for n in (1, 2):
-            set_(n)
-            assert get() == n, f"OpenBLAS runs {get()} threads, not {n}"
-            results.append(fn())
-        return tuple(results)
+        set_(n)
+        assert get() == n, f"OpenBLAS runs {get()} threads, not {n}"
+        yield
     finally:
         set_(before)
+
+
+def at_one_and_two_threads(fn):
+    """(fn() at one BLAS thread, fn() at two); the count in use before is restored."""
+    results = []
+    for n in (1, 2):
+        with blas_threads(n):
+            results.append(fn())
+    return tuple(results)

@@ -2,6 +2,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from itertools import islice
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dota.adapter
-from blas_threads import at_one_and_two_threads
+from blas_threads import at_one_and_two_threads, blas_threads
 from dota.adapter import _chain_backward, _chain_forward, _split_bond, _sweep_is_cheaper
 from dota.mpo import _as_matrix, _as_modes, _left_sweep
 from dota import (
@@ -582,8 +583,21 @@ def huge_step(adapter, which, sequential=False):
             else adapter.backward(x, big)[1])
 
 
+def outcome(fn):
+    """fn()'s bytes, or the type and text of what it raised."""
+    try:
+        return fn().tobytes()
+    except (FloatingPointError, RuntimeWarning) as error:
+        return type(error), str(error)
+
+
+needs_two_cores = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
+    reason="the helper thread runs only where the process may use two cores")
+
+
 class TestOverlap:
-    """The residual's product on the helper thread, beside the chain's split-bond products."""
+    """The residual's product on a helper thread, beside the chain's split-bond products."""
 
     @pytest.mark.parametrize("kind", ["dense", "nf4"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -608,55 +622,104 @@ class TestOverlap:
     @pytest.mark.parametrize("which", ["forward", "backward"])
     def test_ignored_overflow_gives_non_finite_output_and_no_warning(self, preset_adapters,
                                                                      which):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = huge_step(preset_adapters["dense"], which)
-        assert not np.isfinite(out).all()
+        def step():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return huge_step(preset_adapters["dense"], which)
+
+        for out in at_one_and_two_threads(step):
+            assert not np.isfinite(out).all()
 
     @pytest.mark.parametrize("which", ["forward", "backward"])
     def test_raised_overflow_reaches_the_caller(self, preset_adapters, which):
         adapter = preset_adapters["dense"]
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError) as got:
-                huge_step(adapter, which)
-            with pytest.raises(FloatingPointError) as want:
-                huge_step(adapter, which, sequential=True)
-        assert str(got.value) == str(want.value)
+
+        def outcomes():
+            with np.errstate(over="raise"):
+                return (outcome(lambda: huge_step(adapter, which)),
+                        outcome(lambda: huge_step(adapter, which, sequential=True)))
+
+        for got, want in at_one_and_two_threads(outcomes):
+            assert got == want and got[0] is FloatingPointError
 
     @pytest.mark.parametrize("which", ["forward", "backward"])
     def test_default_errstate_warns_as_the_sequential_path(self, preset_adapters, which):
         adapter = preset_adapters["dense"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
-                with pytest.raises(RuntimeWarning) as got:
-                    huge_step(adapter, which)
-                with pytest.raises(RuntimeWarning) as want:
-                    huge_step(adapter, which, sequential=True)
-        assert str(got.value) == str(want.value)
+
+        def outcomes():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+                    return (outcome(lambda: huge_step(adapter, which)),
+                            outcome(lambda: huge_step(adapter, which, sequential=True)))
+
+        for got, want in at_one_and_two_threads(outcomes):
+            assert got == want and got[0] is RuntimeWarning
+
+    @needs_two_cores
+    def test_the_helper_takes_only_large_products_at_one_blas_thread(self, preset_adapters):
+        if dota.adapter._openblas_threads() is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS, so the adapter takes no helper")
+        products = [(np.ones((32, 64)), np.ones((64, 64))),  # 2^17 multiply-adds
+                    (np.ones((1, 1024)), preset_adapters["dense"].w_res)]  # 2^20
+        assert at_one_and_two_threads(
+            lambda: [dota.adapter._overlaps(a, b) for a, b in products]
+        ) == ([False, True], [False, False])
+
+    def test_callers_on_many_threads_share_the_helper(self, preset_adapters):
+        """More calling threads than cores, each with its own adapter and batch, all
+        handing residual products to the one helper: each gets its own sum back."""
+        adapters = [preset_adapters["dense"], preset_adapters["nf4"]] * 3
+        xs = [rand((32, PRESET.rows), seed=80 + k) for k in range(len(adapters))]
+        got = [[] for _ in adapters]
+
+        def steps(k):
+            for _ in range(5):
+                got[k].append(adapters[k].forward(xs[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with blas_threads(1):
+                want = [x @ a.w_res + _chain_forward(x, a.cores) for a, x in zip(adapters, xs)]
+                threads = [threading.Thread(target=steps, args=(k,)) for k in range(len(adapters))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for ys, y in zip(got, want):
+            assert [a.tobytes() for a in ys] == [y.tobytes()] * 5
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_gets_a_helper_of_its_own(self, preset_adapters):
         adapter = preset_adapters["dense"]
         x = rand((32, PRESET.rows), seed=74)
-        y = adapter.forward(x)  # the helper thread is running now
-        with warnings.catch_warnings():
-            # Python 3.12 and later warn that a forked child gets only the forking thread.
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                signal.alarm(20)  # a child left waiting on the parent's helper dies of SIGALRM
-                code = 0 if adapter.forward(x).tobytes() == y.tobytes() else 1
-            finally:
-                os._exit(code)
+        with blas_threads(1):
+            y = adapter.forward(x)  # the helper thread is running now, where two cores are
+            with warnings.catch_warnings():
+                # Python 3.12 and later warn that a forked child gets only the forking thread.
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    signal.alarm(20)  # a child left waiting on the parent's helper dies of SIGALRM
+                    code = 0 if adapter.forward(x).tobytes() == y.tobytes() else 1
+                finally:
+                    os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
-    def test_one_helper_thread_starts_on_the_first_large_product(self):
+    @needs_two_cores
+    @pytest.mark.parametrize("blas", ["1", "2"])
+    def test_one_helper_thread_starts_on_the_first_large_product(self, blas):
+        if dota.adapter._openblas_threads() is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS, so the adapter takes no helper")
         script = """if True:
             import threading
             import numpy as np
@@ -675,10 +738,11 @@ class TestOverlap:
             print(*counts)
         """
         src = os.path.dirname(os.path.dirname(dota.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, timeout=120)
         assert run.returncode == 0, run.stderr
-        # import, a 64x64 product below the size rule, then two 1024 ones above it
-        assert run.stdout.split() == ["1", "1", "2", "2"]
+        # import, a 64x64 product below the size rule, then two 1024 ones above it:
+        # one thread joins at one BLAS thread, and none at two
+        assert run.stdout.split() == (["1", "1", "2", "2"] if blas == "1" else ["1"] * 4)
