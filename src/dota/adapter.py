@@ -17,10 +17,11 @@ On the split-bond path the frozen residual's product, x @ w_res forward and
 dy @ w_res.T backward, runs on a helper thread while the calling thread
 takes the chain's products, where that was measured to gain: a product of
 at least ``_OVERLAP`` multiply-adds while OpenBLAS runs one thread and the
-process may use another core. It is one daemon thread, started by the first
-such product (never at import) and again in a forked child; it runs numpy
-only, under the caller's errstate. The sum is the same, byte for byte, either
-way.
+process may use another core. It is the one worker of a ThreadPoolExecutor,
+made by the first such product (never at import) and again in a forked child;
+it runs numpy only, under the caller's errstate. It is not a daemon: the
+interpreter joins it at exit, and a product begun after exit has started runs
+on the calling thread. The sum is the same, byte for byte, either way.
 """
 
 from __future__ import annotations
@@ -145,10 +146,12 @@ def _chain_backward(x: np.ndarray, dy: np.ndarray, chain: CoreChain,
 _OVERLAP = 1 << 20
 
 
-@lru_cache(maxsize=1)
-def _openblas_threads():
-    """The thread-count getter of the OpenBLAS that numpy's matmul calls (the bundled
-    scipy_openblas64_ or a system build, found through ctypes), or None for another BLAS."""
+@lru_cache
+def _openblas(name: str):
+    """The OpenBLAS function ``name`` (``get_num_threads``, ``get_corename``, ...) of the
+    library numpy's matmul calls, the bundled scipy_openblas64_ or a system build, found
+    through ctypes; or None for another BLAS. It returns a C int unless the caller sets
+    its ``restype``."""
     import ctypes
 
     try:
@@ -156,13 +159,8 @@ def _openblas_threads():
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath
     lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols and its libraries'
-    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                   "openblas_get_num_threads"):
-        get = getattr(lib, symbol, None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            return get
-    return None
+    symbols = (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}")
+    return next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> bool:
@@ -172,66 +170,55 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> bool:
     BLAS threads on two cores), a helper made a 1024 step about 5% slower."""
     if a.shape[0] * a.shape[1] * b.shape[1] < _OVERLAP:
         return False
-    threads = _openblas_threads()
+    threads = _openblas("get_num_threads")
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return threads is not None and threads() == 1 and (cores or 1) > 1
 
 
-_helper_jobs = None  # the helper thread's job queue, made on first use
+_helper = None  # the helper thread's executor, made on first use
 _helper_lock = threading.Lock()
 
 
 def _forget_helper() -> None:
     """In a forked child: the helper thread is not there, so the next product starts one."""
-    global _helper_jobs, _helper_lock
-    _helper_jobs, _helper_lock = None, threading.Lock()
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _serve(jobs) -> None:
-    """The helper thread: a @ b for each job, under the caller's errstate (a thread
-    starts with numpy's default one), and only numpy, so every dota call stays on
-    the caller's thread. What the product raises goes back to the caller."""
-    while True:
-        a, b, err, call, reply = jobs.get()
+def _product(a: np.ndarray, b: np.ndarray, err: dict, call) -> np.ndarray:
+    """a @ b under the caller's errstate: a thread starts with numpy's default one."""
+    with np.errstate(call=call, **err):
+        return a @ b
+
+
+def _beside(a: np.ndarray, b: np.ndarray, chain, *args) -> tuple:
+    """(a @ b, chain(*args)). Where :func:`_overlaps`, the product runs on the helper
+    thread while chain runs on the calling thread; it is waited for even when chain
+    raises, and its error wins. Otherwise, or once the interpreter has begun to exit
+    (the executor then takes no more work), the calling thread takes both, a @ b first."""
+    global _helper
+    product = None
+    if _overlaps(a, b):
         try:
-            with np.errstate(call=call, **err):
-                out = a @ b, None
-        except BaseException as error:  # the caller raises it
-            out = None, error
-        reply.put(out)
-        del a, b, out, reply  # hold no array while idle
+            with _helper_lock:
+                if _helper is None:
+                    from concurrent.futures import ThreadPoolExecutor  # not at `import dota`
 
-
-def _start_product(a: np.ndarray, b: np.ndarray):
-    """a @ b, begun now, as a function that waits for it and returns it or raises what
-    it raised: on the helper thread where :func:`_overlaps`, so the caller's own
-    products overlap it, and otherwise at once, on the calling thread."""
-    if not _overlaps(a, b):
-        out = a @ b
-        return lambda: out
-    from queue import SimpleQueue  # here, so that `import dota` does not pay for it
-
-    global _helper_jobs
-    with _helper_lock:
-        if _helper_jobs is None:
-            _helper_jobs = SimpleQueue()
-            threading.Thread(target=_serve, args=(_helper_jobs,), name="dota-residual",
-                             daemon=True).start()
-        jobs = _helper_jobs
-    reply = SimpleQueue()
-    jobs.put((a, b, np.geterr(), np.geterrcall(), reply))
-
-    def result():
-        out, error = reply.get()
-        if error is not None:
-            raise error
-        return out
-
-    return result
+                    _helper = ThreadPoolExecutor(1, thread_name_prefix="dota-residual")
+                product = _helper.submit(_product, a, b, np.geterr(), np.geterrcall())
+        except RuntimeError:  # exiting: the executor's module neither imports nor takes work
+            pass
+    if product is None:
+        return a @ b, chain(*args)
+    try:
+        out = chain(*args)
+    finally:
+        ab = product.result()
+    return ab, out
 
 
 @dataclass(eq=False)
@@ -267,16 +254,12 @@ class DotaAdapter:
         separate so the frozen and trainable paths stay distinguishable.
         The chain's branch is the split-bond product wherever that takes
         fewer multiply-adds than forming the delta; there the residual's
-        product may run on a helper thread meanwhile (:func:`_start_product`)."""
+        product may run on a helper thread meanwhile (:func:`_beside`)."""
         x = _real(x, "input")
         if x.ndim != 2 or x.shape[1] != self.shape.rows:
             raise ShapeError(f"input shape {x.shape} does not match weight rows {self.shape.rows}")
         if _sweep_is_cheaper(self.cores, x.shape[0]):
-            residual = _start_product(x, self.w_res)
-            try:
-                chain = _chain_forward(x, self.cores)
-            finally:  # wait for the residual even when the chain raised; its error wins
-                y = residual()
+            y, chain = _beside(x, self.w_res, _chain_forward, x, self.cores)
             return y + chain
         return x @ self.w_res + x @ reconstruct(self.cores)
 
@@ -286,7 +269,7 @@ class DotaAdapter:
         ``dy`` is the loss gradient at the output. Where the split-bond products
         take fewer multiply-adds, they give the core gradients and the chain's
         share of dx, which adds to dy @ w_res.T, taken meanwhile on a helper
-        thread where that gains (:func:`_start_product`). Otherwise the weight
+        thread where that gains (:func:`_beside`). Otherwise the weight
         gradient x^T dy goes through :func:`chain_gradients` and dx uses the
         merged effective weight, which is algebraically identical.
         """
@@ -295,11 +278,7 @@ class DotaAdapter:
         if x.shape[0] != dy.shape[0] or (x.shape[1], dy.shape[1]) != weight:
             raise ShapeError(f"x {x.shape} / dy {dy.shape}: batches differ or weight is not {weight}")
         if _sweep_is_cheaper(self.cores, x.shape[0]):
-            residual = _start_product(dy, self.w_res.T)
-            try:
-                grads, dx = _chain_backward(x, dy, self.cores)
-            finally:
-                dx_res = residual()
+            dx_res, (grads, dx) = _beside(dy, self.w_res.T, _chain_backward, x, dy, self.cores)
             return grads, dx_res + dx
         return chain_gradients(self.cores, x.T @ dy), dy @ self.merge().T
 

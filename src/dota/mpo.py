@@ -249,19 +249,18 @@ def mpo_decompose(
         return CoreChain.from_arrays([c.astype(w.dtype, copy=False) for c in cores])
 
 
-def _left_sweep(chain, left=None) -> Iterator[np.ndarray]:
+def _left_sweep(cores, left=None) -> Iterator[np.ndarray]:
     """Yield L_0 = ones((1, 1)), then L_k, the float64 contraction of cores
     0..k-1 as a (prod_{m<k} I_m J_m, r_k) matrix, in the interleaved layout;
     L_1 is a fresh float64 copy of core 0, as 1 times it is exact.
     Given ``left`` (rows of an L_k, or eye(r_0)), yield it and carry it on
-    through every core of ``chain``: the cores after L_k, or a half-chain's.
-    ``chain`` is a CoreChain or its core arrays, which may share a leading
-    stack axis: each L_k then has it too, and each product is one matmul.
+    through every core of ``cores``: the ones after L_k, or a half-chain's.
+    ``cores`` is a list of core arrays, which may share a leading stack
+    axis: each L_k then has it too, and each product is one matmul.
 
     Only the current matrix is kept, so a caller that needs every L_k has
     to store them itself.
     """
-    cores = [c.data for c in chain.cores] if isinstance(chain, CoreChain) else chain
     if left is None:
         first, *cores = cores
         yield np.ones(first.shape[:-4] + (1, 1))

@@ -1,33 +1,28 @@
 """Run a callable at one and then at two BLAS threads, in one process.
 
-numpy's bundled OpenBLAS exports a thread-count switch, found by the same
-``ctypes`` lookup as CI's version step. OpenBLAS picks other code paths by
-thread count, so bytes the library promises whatever the count are checked
-at both. Where the switch is missing (another BLAS), the calling test skips
-and says why.
+numpy's bundled OpenBLAS exports a thread-count switch, found by the
+library's own ``ctypes`` lookup, ``dota.adapter._openblas``. OpenBLAS picks
+other code paths by thread count, so bytes the library promises whatever
+the count are checked at both. Where the switch is missing (another BLAS),
+the calling test skips and says why.
 """
 
 import contextlib
 import ctypes
-import glob
-import os
 
-import numpy as np
 import pytest
+
+from dota.adapter import _openblas
 
 
 def _thread_switch():
     """(get, set) of the loaded OpenBLAS's thread count, or None."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
+    get, set_ = _openblas("get_num_threads"), _openblas("set_num_threads")
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextlib.contextmanager

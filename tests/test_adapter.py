@@ -84,7 +84,7 @@ def einsum_chain_gradients(chain, dw):
 def reference_chain_gradients(chain, dw):
     """chain_gradients with dw interleaved through reorder_for_mpo."""
     interleaved, _ = reorder_for_mpo(np.asarray(dw, dtype=np.float64), chain.shape)
-    lefts = list(islice(_left_sweep(chain), len(chain)))
+    lefts = list(islice(_left_sweep([c.data for c in chain.cores]), len(chain)))
     e = interleaved.data
     grads = []
     for left, core in zip(reversed(lefts), reversed(chain.cores)):
@@ -591,6 +591,15 @@ def outcome(fn):
         return type(error), str(error)
 
 
+def run_python(script, blas):
+    """``python -c script`` at ``OPENBLAS_NUM_THREADS=blas``, importing this dota."""
+    src = os.path.dirname(os.path.dirname(dota.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 needs_two_cores = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
     reason="the helper thread runs only where the process may use two cores")
@@ -659,7 +668,7 @@ class TestOverlap:
 
     @needs_two_cores
     def test_the_helper_takes_only_large_products_at_one_blas_thread(self, preset_adapters):
-        if dota.adapter._openblas_threads() is None:
+        if dota.adapter._openblas("get_num_threads") is None:
             pytest.skip("numpy's BLAS is not OpenBLAS, so the adapter takes no helper")
         products = [(np.ones((32, 64)), np.ones((64, 64))),  # 2^17 multiply-adds
                     (np.ones((1, 1024)), preset_adapters["dense"].w_res)]  # 2^20
@@ -718,12 +727,14 @@ class TestOverlap:
     @needs_two_cores
     @pytest.mark.parametrize("blas", ["1", "2"])
     def test_one_helper_thread_starts_on_the_first_large_product(self, blas):
-        if dota.adapter._openblas_threads() is None:
+        if dota.adapter._openblas("get_num_threads") is None:
             pytest.skip("numpy's BLAS is not OpenBLAS, so the adapter takes no helper")
         script = """if True:
+            import sys
             import threading
             import numpy as np
             import dota
+            assert "concurrent.futures" not in sys.modules, "import dota imported the executor"
             from dota import CoreChain, DotaAdapter, MpoShape, SHAPE_PRESETS, truncated_ranks
             counts = [threading.active_count()]
             def adapter(factors):
@@ -737,12 +748,36 @@ class TestOverlap:
                 counts.append(threading.active_count())
             print(*counts)
         """
-        src = os.path.dirname(os.path.dirname(dota.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env=env, timeout=120)
+        run = run_python(script, blas)
         assert run.returncode == 0, run.stderr
         # import, a 64x64 product below the size rule, then two 1024 ones above it:
         # one thread joins at one BLAS thread, and none at two
         assert run.stdout.split() == (["1", "1", "2", "2"] if blas == "1" else ["1"] * 4)
+
+    @pytest.mark.parametrize("first", ["before exit", "at exit"])
+    def test_a_step_at_interpreter_exit_gives_the_sequential_sum(self, first):
+        """Once the interpreter has begun to exit, the executor takes no more work (and
+        its module no longer imports): a step from an atexit handler, with the helper
+        started before or not, still returns the sum taken on one thread."""
+        script = f"""if True:
+            import atexit
+            import numpy as np
+            import dota
+            from dota.adapter import _chain_backward, _chain_forward
+            shape = dota.MpoShape.square(dota.SHAPE_PRESETS[1024])
+            rng = np.random.default_rng(75)
+            adapter = dota.dota_init(rng.standard_normal((shape.rows, shape.cols)), shape, 8)
+            x, dy = rng.standard_normal((2, 32, shape.rows))
+            def step():
+                grads, dx = adapter.backward(x, dy)
+                return [a.tobytes() for a in (adapter.forward(x), dx, *grads.tensors)]
+            def sequential():
+                grads, dx = _chain_backward(x, dy, adapter.cores)
+                y = x @ adapter.w_res + _chain_forward(x, adapter.cores)
+                return [a.tobytes() for a in (y, dy @ adapter.w_res.T + dx, *grads.tensors)]
+            if {first == "before exit"}:
+                step()
+            atexit.register(lambda: print(step() == sequential()))
+        """
+        run = run_python(script, "1")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "True\n", "")
