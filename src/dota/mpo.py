@@ -255,8 +255,8 @@ def _left_sweep(cores, left=None) -> Iterator[np.ndarray]:
     L_1 is a fresh float64 copy of core 0, as 1 times it is exact.
     Given ``left`` (rows of an L_k, or eye(r_0)), yield it and carry it on
     through every core of ``cores``: the ones after L_k, or a half-chain's.
-    ``cores`` is a list of core arrays, which may share a leading stack
-    axis: each L_k then has it too, and each product is one matmul.
+    ``cores`` is a list of core arrays. They, or ``left`` alone, may have a
+    leading stack axis: each L_k then has it too, and each product is one matmul.
 
     Only the current matrix is kept, so a caller that needs every L_k has
     to store them itself.
@@ -268,7 +268,7 @@ def _left_sweep(cores, left=None) -> Iterator[np.ndarray]:
     lead = left.shape[:-2]
     yield left
     for core in cores:
-        left = left @ core.astype(np.float64, copy=False).reshape(lead + (core.shape[-4], -1))
+        left = left @ core.astype(np.float64, copy=False).reshape(*core.shape[:-4], core.shape[-4], -1)
         left = left.reshape(lead + (-1, core.shape[-1]))
         yield left
 
@@ -308,36 +308,30 @@ def _as_modes(w: np.ndarray, shape: MpoShape) -> np.ndarray:
     return np.transpose(separated, _lead_axes(len(lead), shape._axes[1]))
 
 
-# A matrix of more elements than this (8 MB of float64) is rebuilt in panels.
+# Past this many elements (8 MB of float64), panels go one at a time: no second full-size array.
 _PANEL = 1 << 20
 
 
 def reconstruct(chain: CoreChain) -> np.ndarray:
     """Contract the chain over its bonds and reassemble the full matrix.
 
-    Past ``_PANEL`` elements, once L_k has 4, 8, 12, ... rows per (i_1, j_1)
-    panel (one row would go through GEMV), each panel is contracted through
-    the remaining cores and written straight into W's layout: the result is
-    the only full-size array, with the same bytes as when built in one piece."""
+    The left sweep runs to the first L_k with more than one row per (i_1, j_1) panel,
+    or to L_N; each panel's rows then go through the remaining cores into W's layout,
+    all panels as one stack (one matmul per core) or, past ``_PANEL`` elements, one at
+    a time. numpy's stacked matmul makes the same GEMM call per panel: the same bytes."""
     shape, cores = chain.shape, [c.data for c in chain.cores]
     panels = shape.in_factors[0] * shape.out_factors[0]
-    # Whether each core's product splits by rows exactly (False for a small matrix). A
-    # DGEMM kernel may round a row differently by where it falls in the kernel's row
-    # blocks: on OpenBLAS 0.3.31, a split product changed in the last bits with a column
-    # count not a multiple of 8, an inner dimension above 384, or (Haswell kernels) a
-    # panel whose row count is not a multiple of 4. Checked on the Haswell, SkylakeX
-    # and Sandybridge kernels.
-    exact = shape.rows * shape.cols > _PANEL and [
-        i * j * r1 % 16 == 0 and r0 <= 256 for r0, i, j, r1 in (c.shape for c in cores)]
     for k, left in enumerate(_left_sweep(cores)):
-        if exact and k < len(cores) and len(left) > panels and len(left) // panels % 4 == 0 \
-                and all(exact[k:]):
+        if len(left) > panels:
             break
-    else:  # L_N is (prod I_k J_k, 1) in the interleaved layout (i_1, j_1, ...)
-        return np.ascontiguousarray(_as_matrix(left, shape).astype(chain.dtype, copy=False))
+    stack = left.reshape(panels, -1, left.shape[-1])
+    if shape.rows * shape.cols <= _PANEL:
+        for stack in _left_sweep(cores[k:], stack):
+            pass
+        return np.ascontiguousarray(_as_matrix(stack.reshape(-1, 1), shape).astype(chain.dtype, copy=False))
     out = np.empty((shape.rows, shape.cols), dtype=chain.dtype)
     blocks, modes = _as_modes(out, shape), shape._axes[0]
-    for p, rows in enumerate(np.split(left, panels)):
+    for p, rows in enumerate(stack):
         for panel in _left_sweep(cores[k:], rows):
             pass
         blocks[divmod(p, shape.out_factors[0])] = panel.reshape(modes[2:])

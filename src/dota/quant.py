@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, _count_problem, _reject
+from .errors import NumericError, ShapeError, _count_problem, _counts_problem, _reject
 # mpo_decompose, reconstruct and chain_gradients are unused here; the benchmark's tracer wraps them.
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
 from .adapter import DotaAdapter, chain_gradients, dota_init
@@ -161,7 +161,7 @@ _CODEBOOK = NF4Codebook()
 
 @dataclass(frozen=True, eq=False)
 class QuantizedMatrix:
-    """NF4 codes (packed two per byte) plus one absmax scale per block.
+    """NF4 codes (two per byte) and per-block absmax scales of a float32 or float64 matrix.
 
     Both arrays are read-only: a read-only, C-contiguous array is adopted as
     it is, any other is copied once and the copy made read-only. The block
@@ -175,6 +175,12 @@ class QuantizedMatrix:
     dtype: np.dtype = np.dtype(np.float64)
 
     def __post_init__(self):
+        problem = _counts_problem([self.rows, self.cols], 1)
+        if problem or not (isinstance(self.dtype, (str, type, np.dtype))  # `in` would test an array
+                           and self.dtype in (np.dtype(np.float32), np.dtype(np.float64))):
+            raise ShapeError(f"bad {self.rows!r} x {self.cols!r} matrix of dtype {self.dtype!r}: "
+                             f"{problem or 'expected float32 or float64'}")
+        object.__setattr__(self, "dtype", np.dtype(self.dtype))
         n_packed, n_blocks = self.layout(self.rows * self.cols, self.block_size)
         if self.packed.dtype != np.uint8 or self.packed.size != n_packed:
             raise ShapeError("packed code array has the wrong size or dtype")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from blas_threads import at_one_and_two_threads
 from dota import (
     CoreChain,
     MpoShape,
@@ -63,16 +64,33 @@ def tt_svd(w, shape, rank):
 
 
 def reference_reconstruct(chain):
-    """The single-piece contraction: the float64 product L_N of every core,
-    de-interleaved and cast back as a whole."""
-    left = np.ones((1, 1))
-    for core in chain.cores:
-        r0, _, _, r1 = core.shape
-        left = (left @ core.data.astype(np.float64, copy=False).reshape(r0, -1)).reshape(-1, r1)
-    shape = chain.shape
-    interleaved = left.reshape([f for ij in zip(shape.in_factors, shape.out_factors) for f in ij])
-    out = np.transpose(interleaved, _deinterleaving(len(chain))).reshape(shape.rows, shape.cols)
-    return np.ascontiguousarray(out.astype(chain.dtype, copy=False))
+    """The per-panel contraction, written out: the float64 product L_k of the
+    cores up to the first L_k with more than one row per (i_1, j_1) panel (or
+    of all of them); then, one panel at a time, its rows through the remaining
+    cores, de-interleaved and cast into that panel's block of W."""
+    shape, n = chain.shape, len(chain)
+    cores = [c.data.astype(np.float64, copy=False) for c in chain.cores]
+    i1, j1 = shape.in_factors[0], shape.out_factors[0]
+    left, k = np.ones((1, 1)), 0
+    while k < n and len(left) <= i1 * j1:
+        left = (left @ cores[k].reshape(cores[k].shape[0], -1)).reshape(-1, cores[k].shape[-1])
+        k += 1
+    out = np.empty((shape.rows, shape.cols), dtype=chain.dtype)
+    rows, cols = shape.rows // i1, shape.cols // j1
+    modes = [f for ij in zip(shape.in_factors[1:], shape.out_factors[1:]) for f in ij]
+    for p, panel in enumerate(np.split(left, i1 * j1)):
+        for core in cores[k:]:
+            panel = (panel @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[-1])
+        i, j = divmod(p, j1)
+        block = np.transpose(panel.reshape(modes), _deinterleaving(n - 1)).reshape(rows, cols)
+        out[i * rows:(i + 1) * rows, j * cols:(j + 1) * cols] = block
+    return out
+
+
+def same_bytes(a, b):
+    """Equal dtypes, shapes and bytes, compared without a copy of either."""
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
 
 
 def random_chain(shape, ranks, dtype=np.float64, seed=0):
@@ -84,7 +102,7 @@ def random_chain(shape, ranks, dtype=np.float64, seed=0):
 def panel_chains(draw, budget=1 << 16):
     """A random chain of 3-5 cores, factors 1-5 and ranks up to their
     ceilings, with at most ``budget`` matrix elements. Its last factor pair
-    is often (4, 4): 16 columns let the products before it split in panels."""
+    is often (4, 4), as in most presets."""
     n = draw(st.integers(3, 5))
     last = draw(st.sampled_from([(4, 4), None])) or (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
     factors, size = [], last[0] * last[1]
@@ -426,43 +444,54 @@ class TestReconstruct:
 
 
 class TestPanels:
-    """reconstruct in (i_1, j_1) panels against the single-piece contraction."""
+    """reconstruct, its panels stacked or one at a time, against the per-panel
+    contraction, at one and at two BLAS threads."""
 
     @given(panel_chains(), st.integers(0, 99))
     @settings(deadline=None, max_examples=150)
     def test_forced_panels_are_byte_identical(self, chain, seed):
         w = rand((chain.shape.rows, chain.shape.cols), seed=seed)
-        want = reference_reconstruct(chain)
-        want_d = w - want.astype(np.float64, copy=False)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mpo, "_PANEL", 0)
-            got = reconstruct(chain)
-            d, err = _residual_error(w, chain)
-        assert got.dtype == chain.dtype and got.tobytes() == want.tobytes()
-        assert d.tobytes() == want_d.tobytes()
-        assert err == float(np.linalg.norm(want_d)) / float(np.linalg.norm(w))
+
+        def outputs():  # the norms too: ddot splits its sum by thread count
+            want = reference_reconstruct(chain)
+            want_d = w - want.astype(np.float64, copy=False)
+            got = [reconstruct(chain)]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mpo, "_PANEL", 0)
+                got += [reconstruct(chain), *_residual_error(w, chain)]
+            return want, want_d, float(np.linalg.norm(want_d)) / float(np.linalg.norm(w)), got
+
+        for want, want_d, want_err, (stacked, forced, d, err) in at_one_and_two_threads(outputs):
+            assert same_bytes(stacked, want) and same_bytes(forced, want)
+            assert same_bytes(d, want_d) and err == want_err
 
     def test_4096_preset_is_byte_identical_and_fresh(self):
         shape = MpoShape.square(SHAPE_PRESETS[4096])
         chain = random_chain(shape, truncated_ranks(shape, 8), seed=1)
-        got = reconstruct(chain)
-        assert got.flags.writeable and got.flags.c_contiguous
-        assert not any(np.shares_memory(got, c.data) for c in chain.cores)
-        assert got.tobytes() == reference_reconstruct(chain).tobytes()
+
+        def checks():
+            got = reconstruct(chain)
+            return (got.flags.writeable and got.flags.c_contiguous,
+                    not any(np.shares_memory(got, c.data) for c in chain.cores),
+                    same_bytes(got, reference_reconstruct(chain)))
+
+        assert at_one_and_two_threads(checks) == ((True,) * 3,) * 2
 
     def test_peak_holds_one_full_size_array(self, monkeypatch):
-        shape = MpoShape.square(SHAPE_PRESETS[1024])
-        chain = random_chain(shape, truncated_ranks(shape, 8), seed=2)
-        w = rand((shape.rows, shape.cols), seed=3)
-        monkeypatch.setattr(mpo, "_PANEL", 0)
-        for build in (lambda: reconstruct(chain), lambda: _residual_error(w, chain)):
-            tracemalloc.start()
-            try:
-                build()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.25 * w.nbytes  # one contraction in one piece would hold two
+        """Forced panels at 1024, and the 2304 preset as it is built by default."""
+        for dims, panel in [(1024, 0), (2304, mpo._PANEL)]:
+            shape = MpoShape.square(SHAPE_PRESETS[dims])
+            chain = random_chain(shape, truncated_ranks(shape, 8), seed=2)
+            w = rand((shape.rows, shape.cols), seed=3)
+            monkeypatch.setattr(mpo, "_PANEL", panel)
+            for build in (lambda: reconstruct(chain), lambda: _residual_error(w, chain)):
+                tracemalloc.start()
+                try:
+                    build()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1.25 * w.nbytes, dims  # one contraction in one piece would hold two
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("core", [0, 1, 2])

@@ -203,6 +203,19 @@ class TestQuantize:
         with pytest.raises(ShapeError):
             QuantizedMatrix(arrays["packed"], arrays["absmax"], 4, 4, 4)
 
+    @pytest.mark.parametrize("rows, cols, dtype", [
+        (-2, -2, np.float64), (2.0, 2, np.float64), (True, 4, np.float64), (4, 4, np.int32),
+        (4, 4, np.complex128), (4, 4, "U3"), (4, 4, object), (4, 4, np.float16),
+        (4, 4, np.zeros(3)),
+    ], ids=["negative", "float-count", "bool-count", "int32", "complex128", "U3", "object",
+            "float16", "array"])
+    def test_rejects_a_bad_shape_or_dtype(self, rows, cols, dtype):
+        """Counts >= 1 and a float32 or float64 dtype, as dequantize_nf4 decodes into."""
+        q = quantize_nf4(np.ones((4, 4)), 4)
+        with pytest.raises(ShapeError):
+            QuantizedMatrix(q.packed, q.absmax, 4, rows, cols, dtype)
+        assert QuantizedMatrix(q.packed, q.absmax, 4, 4, 4, "float32").dtype == np.float32
+
     @given(st.integers(0, 999), st.sampled_from([1, 3, 16, 64, 100]))
     @settings(deadline=None, max_examples=30)
     def test_roundtrip_bound_property(self, seed, block_size):
