@@ -9,6 +9,8 @@ random chains, a low-rank matrix baseline, and full fine-tuning on
 synthetic regression tasks.
 """
 
+import types
+
 from .adapter import CoreGradients, DotaAdapter, chain_gradients, dota_init
 from .errors import DotaError, FormatError, NumericError, ParameterError, ShapeError
 from .fileio import Bundle, read_bundle, read_matrix, write_bundle, write_matrix
@@ -54,52 +56,5 @@ from .tensor_core import DenseTensor
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AblationConfig",
-    "Bundle",
-    "CoreChain",
-    "CoreGradients",
-    "DenseTensor",
-    "DotaAdapter",
-    "DotaError",
-    "FormatError",
-    "Hyper",
-    "LoraBaseline",
-    "MpoShape",
-    "NF4Codebook",
-    "NF4_LEVELS",
-    "NumericError",
-    "ParameterError",
-    "QdotaAdapter",
-    "QuantizedMatrix",
-    "SHAPE_PRESETS",
-    "ShapeError",
-    "SyntheticTask",
-    "TrainLog",
-    "ablate",
-    "balanced_factors",
-    "chain_gradients",
-    "default_tensor_shape",
-    "dequantize_nf4",
-    "derive_nf4_levels",
-    "dota_init",
-    "lora_init",
-    "make_task",
-    "max_ranks",
-    "mpo_decompose",
-    "nf4_codebook",
-    "param_count",
-    "qdota_init",
-    "quantize_nf4",
-    "random_init_cores",
-    "read_bundle",
-    "read_matrix",
-    "reconstruct",
-    "reconstruction_error",
-    "reorder_for_mpo",
-    "run_experiment",
-    "summarize",
-    "truncated_ranks",
-    "write_bundle",
-    "write_matrix",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -178,15 +178,6 @@ class LoraBaseline:
     def trainable_params(self) -> int:
         return self.a.size + self.b.size
 
-    def effective_weight(self) -> np.ndarray:
-        return self.w0 + self.a @ self.b
-
-    def gradient_step(self, dw: np.ndarray, lr: float) -> None:
-        ga = dw @ self.b.T
-        gb = self.a.T @ dw
-        self.a = self.a - lr * ga
-        self.b = self.b - lr * gb
-
 
 def lora_init(w0: np.ndarray, rank: int, seed) -> LoraBaseline:
     """LoRA factors, ``a`` of std 1/sqrt(rows) and ``b`` zero, for the real matrix w0;

@@ -708,6 +708,17 @@ class TestCliTrain:
         assert capsys.readouterr().err == "error: config must be a JSON object\n"
         assert not out_dir.exists()
 
+    def test_batch_too_large_to_allocate_exits_1(self, tmp_path, capsys):
+        # 10^15 rows of 64 doubles: far above any address space, so numpy
+        # refuses the allocation at once instead of overcommitting it
+        config = self.write_config(tmp_path, batch_size=10**15)
+        out_dir = tmp_path / "x"
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "Traceback" not in err
+        assert not list(out_dir.glob("*.csv"))
+
     def test_missing_config_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["train"])

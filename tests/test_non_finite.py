@@ -4,6 +4,8 @@ every public name, fed adversarial arrays and counts, returns finite reals
 or raises a DotaError, never a raw numpy error or warning."""
 
 import copy
+import importlib
+import types
 import warnings
 
 import numpy as np
@@ -323,6 +325,17 @@ def _arrays(result):
 
 def test_every_public_name_has_an_entry():
     assert sorted(REGISTRY) == sorted(dota.__all__)
+
+
+def test_public_names_are_the_package_namespace():
+    names = list(dota.__all__)
+    assert names == sorted(names)
+    for name in names:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(dota, name), types.ModuleType)
+    importlib.import_module("dota.cli")  # a submodule is an attribute, never a public name
+    assert isinstance(dota.cli, types.ModuleType)
+    assert dota.__all__ == names
 
 
 @pytest.mark.parametrize("name, kind", [(name, kind) for name in sorted(REGISTRY)
