@@ -1,9 +1,9 @@
 """Blockwise 4-bit NormalFloat quantization of frozen residual matrices.
 
 NF4's one fixed codebook places 16 levels at equal-probability quantiles of
-a standard normal, with an exact zero and both endpoints at +-1; its tables
-are built once, at import. Quantization is absmax-blockwise: each block of
-consecutive row-major elements is scaled into [-1, 1] by its largest
+a standard normal, with an exact zero and both endpoints at +-1; its decode
+table is built once, at import. Quantization is absmax-blockwise: each block
+of consecutive row-major elements is scaled into [-1, 1] by its largest
 magnitude and each element is rounded to the nearest level (two codes a byte).
 
 Both directions work on chunks of whole blocks, about 256 KB of float64
@@ -24,15 +24,13 @@ from .errors import NumericError, ShapeError, _count_problem, _counts_problem, _
 # mpo_decompose, reconstruct and chain_gradients are unused here; the benchmark's tracer wraps them.
 from .mpo import CoreChain, MpoShape, mpo_decompose, reconstruct
 from .adapter import DotaAdapter, chain_gradients, dota_init
-from .tensor_core import _as_readonly, _finite, _real
+from .tensor_core import _as_readonly, _asarray, _finite, _real
 
 DEFAULT_BLOCK_SIZE = 64
 
 # Elements per codec chunk, rounded down to an even number of whole blocks.
 # On a 4096 layer (2 MB L2, one thread) quantize_nf4 took 88 ms at 2^15, 105-140 ms at 2^17.
 _CHUNK = 1 << 15
-# Encode-table bins per unit: [-1, 1] is covered by 2 * _BINS + 1 bins.
-_BINS = 4096
 
 # Frozen output of derive_nf4_levels(); regenerated and checked in the tests.
 NF4_LEVELS: tuple[float, ...] = (
@@ -80,41 +78,28 @@ class NF4Codebook:
     max_gap = max(b - a for a, b in zip(NF4_LEVELS, NF4_LEVELS[1:]))
 
     def __init__(self):
-        # The encode table: per bin, how many midpoints lie in lower bins, and
-        # the midpoint in the bin itself (2.0, above every value, if none).
-        midpoints = (np.array(self.levels[:-1]) + np.array(self.levels[1:])) / 2.0
-        bins = _bin(midpoints)
-        self._thr = np.full(2 * _BINS + 1, 2.0)
-        self._thr[bins] = midpoints
-        self._below = np.searchsorted(bins, np.arange(self._thr.size)).astype(np.uint8)
-        # dequantize_nf4's gather table: both decoded codes of each byte, low nibble first.
+        # The 15 level midpoints, and dequantize_nf4's table of both decoded codes of each byte.
+        self._midpoints = (np.array(self.levels[:-1]) + np.array(self.levels[1:])) / 2.0
         self._pairs = self.decode(_nibbles(np.arange(256, dtype=np.uint8)))
-        self._thr.flags.writeable = self._below.flags.writeable = self._pairs.flags.writeable = False
+        self._midpoints.flags.writeable = self._pairs.flags.writeable = False
 
     def encode(self, normalized: np.ndarray) -> np.ndarray:
-        """Nearest-level code for values in [-1, 1]; ties go to the lower code.
-        Values beyond +-1 take the end codes.
-
-        The code is the number of level midpoints below x, read from a table
-        built with the codebook: with b = floor((x + 1) * 4096), it is
-        ``below[b] + (x > thr[b])``, where ``below[b]`` counts the midpoints in
-        lower bins and ``thr[b]`` is the one midpoint in bin b. This is exact
-        whatever the rounding of x + 1, because b is computed by the same
-        monotone rounding for x as for every midpoint: a midpoint in a lower
-        bin lies below x, one in a higher bin above it, and the one in x's own
-        bin is compared exactly. (No NF4 midpoint lies within 0.0195 bins of
-        a bin edge anyway.) Values that are not real raise ShapeError (see :func:`_real`),
-        and NaN raises NumericError.
-        """
+        """Nearest-level code for values in [-1, 1]: the number of level
+        midpoints strictly below each value, so a tie goes to the lower code
+        and values beyond +-1 take the end codes. Values that are not real
+        raise ShapeError (see :func:`_real`), and NaN raises NumericError."""
         x = _real(normalized, "values").astype(np.float64, copy=False)
         if np.isnan(x).any():
             raise NumericError("values contain NaN")
-        return self._encode(np.clip(x, -1.0, 1.0))
+        return self._encode(x)
 
     def _encode(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`encode` of float64 values already in [-1, 1]."""
-        b = _bin(x)
-        return self._below[b] + (x > self._thr[b])
+        """:meth:`encode` of float64 values that are not NaN; each comparison's bools count as 0/1 bytes."""
+        m = self._midpoints
+        codes = (x > m[0]).view(np.uint8)
+        for t in m[1:]:
+            codes += (x > t).view(np.uint8)
+        return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """The level of each code; ShapeError for a code that is not an integer in 0..15."""
@@ -122,13 +107,6 @@ class NF4Codebook:
         if codes.dtype.kind not in "iu" or ((codes < 0) | (codes > 15)).any():
             raise ShapeError("NF4 codes must be integers in 0..15")
         return np.asarray(self.levels)[codes]
-
-
-def _bin(x: np.ndarray) -> np.ndarray:
-    """The encode-table bin floor((x + 1) * _BINS) of values in [-1, 1]."""
-    t = x + 1.0
-    t *= _BINS
-    return t.astype(np.intp)
 
 
 def nf4_codebook() -> NF4Codebook:
@@ -182,7 +160,8 @@ class QuantizedMatrix:
                              f"{problem or 'expected float32 or float64'}")
         object.__setattr__(self, "dtype", np.dtype(self.dtype))
         n_packed, n_blocks = self.layout(self.rows * self.cols, self.block_size)
-        if self.packed.dtype != np.uint8 or self.packed.size != n_packed:
+        packed = _asarray(self.packed, "packed codes")
+        if packed.dtype != np.uint8 or packed.size != n_packed:
             raise ShapeError("packed code array has the wrong size or dtype")
         absmax = _real(self.absmax, "block scales")
         if absmax.size != n_blocks:
@@ -190,7 +169,7 @@ class QuantizedMatrix:
         _finite(absmax, what="block scales")
         if np.any(absmax < 0):
             raise ShapeError("block scales must be non-negative")
-        object.__setattr__(self, "packed", _as_readonly(self.packed))
+        object.__setattr__(self, "packed", _as_readonly(packed))
         object.__setattr__(self, "absmax", _as_readonly(absmax))
 
     @staticmethod
@@ -219,12 +198,13 @@ def quantize_nf4(w: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantiz
     n_packed, n_blocks = QuantizedMatrix.layout(w.size, block_size)
 
     flat = w.reshape(-1)
+    bs = max(1, min(block_size, flat.size))  # cut to the matrix; an empty one fails below
     packed, scales = np.empty(n_packed, dtype=np.uint8), np.empty(n_blocks)
-    for b0, e0, e1 in _chunks(flat.size, block_size):
+    for b0, e0, e1 in _chunks(flat.size, bs):
         # A fresh float64 copy of whole blocks: the last partial block is zero-padded.
-        blocks = np.zeros(-(-(e1 - e0) // block_size) * block_size)
+        blocks = np.zeros(-(-(e1 - e0) // bs) * bs)
         blocks[: e1 - e0] = flat[e0:e1]
-        blocks = blocks.reshape(-1, block_size)
+        blocks = blocks.reshape(-1, bs)
         s = np.abs(blocks).max(axis=1)
         _finite(s, what="matrix")
         scales[b0 : b0 + s.size] = s
@@ -242,7 +222,7 @@ def dequantize_nf4(q: QuantizedMatrix) -> np.ndarray:
     straight into the output: one gather from a table of both codes of each
     byte value, then one multiply by the block scales, in float64."""
     scales = q.absmax.astype(np.float64, copy=False)
-    bs, out = q.block_size, np.empty(q.n_elements, dtype=q.dtype)
+    bs, out = min(q.block_size, q.n_elements), np.empty(q.n_elements, dtype=q.dtype)
     for b0, e0, e1 in _chunks(q.n_elements, bs):
         values = np.take(_CODEBOOK._pairs, q.packed[e0 // 2 : (e1 + 1) // 2], axis=0).reshape(-1)[: e1 - e0]
         full = (e1 - e0) // bs * bs  # the rest is the last, partial block

@@ -553,6 +553,20 @@ class TestCliDecomposeReconstruct:
         observed = np.linalg.norm(read_matrix(out_matrix) - w)
         assert observed == pytest.approx(quant_error, abs=1e-10)
 
+    @pytest.mark.parametrize("block_size", [10**15, 2**62])  # numpy refuses either at once
+    def test_a_block_wider_than_the_matrix_is_one_block_of_it(self, tmp_path, capsys, block_size):
+        src = tmp_path / "w.dotm"
+        write_matrix(src, rand((16, 16), seed=8))
+        for size in (block_size, 256):
+            assert main(["decompose", "--input", str(src), "--shape-in", "4,4", "--shape-out", "4,4",
+                         "--rank", "2", "--quantize-residual", "--block-size", str(size),
+                         "--out", str(tmp_path / f"{size}.dotc")]) == 0
+            assert main(["reconstruct", "--bundle", str(tmp_path / f"{size}.dotc"),
+                         "--out", str(tmp_path / f"{size}.dotm")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert read_bundle(tmp_path / f"{block_size}.dotc").residual.block_size == block_size
+        assert (tmp_path / f"{block_size}.dotm").read_bytes() == (tmp_path / "256.dotm").read_bytes()
+
     def test_reconstruct_adds_the_nf4_residual_in_place(self, tmp_path, capsys):
         w = rand((1024, 1024), seed=7)  # 8 MB
         chain = mpo_decompose(w, MpoShape.square(SHAPE_PRESETS[1024]), 8)

@@ -33,7 +33,7 @@ from dota import (
     write_bundle,
 )
 from dota import mpo
-from dota.quant import _BINS, _CHUNK
+from dota.quant import _CHUNK
 
 
 def rand(shape, seed=0, scale=0.02):
@@ -97,8 +97,8 @@ class TestCodebook:
         book = nf4_codebook()
         levels = np.array(book.levels)
         midpoints = (levels[:-1] + levels[1:]) / 2.0
-        edges = np.arange(2 * _BINS + 1) / _BINS - 1.0  # every table bin's lower edge
-        near = np.concatenate([midpoints, levels, edges])
+        grid = np.arange(8193) / 4096 - 1.0  # every multiple of 2^-12 in [-1, 1]
+        near = np.concatenate([midpoints, levels, grid])
         x = np.concatenate([near, np.nextafter(near, 2.0), np.nextafter(near, -2.0),
                             [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]])
         x = x[np.abs(x) <= 1.0]
@@ -135,20 +135,26 @@ class TestCodebook:
         with pytest.raises(ShapeError):
             nf4_codebook().decode(np.array(codes))
 
-    def test_midpoints_sit_well_inside_their_table_bins(self):
-        # The table holds one midpoint per bin, so no two may share one. The
-        # lookup is exact regardless of the margin; it shows that a value
-        # rounded by far more than float64's x + 1 would still get its code.
+    @pytest.mark.parametrize("values", [np.float64(0.3), np.array(-0.3), 0.3, np.float32(1.0)],
+                             ids=["scalar", "0-d", "float", "float32"])
+    def test_encode_of_a_0d_value_is_a_uint8_scalar(self, values):
         levels = np.array(NF4_LEVELS)
-        position = ((levels[:-1] + levels[1:]) / 2.0 + 1.0) * _BINS
-        assert np.all(np.diff(np.floor(position)) > 0)
-        assert np.abs(position - np.round(position)).min() >= 1e-3
+        code = nf4_codebook().encode(values)
+        assert type(code) is np.uint8
+        assert code == np.searchsorted((levels[:-1] + levels[1:]) / 2.0, float(values))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4), (0, 4)])
+    def test_encode_keeps_the_shape(self, shape):
+        x = np.random.default_rng(0).uniform(-1, 1, size=shape)
+        codes = nf4_codebook().encode(x)
+        assert codes.shape == shape and codes.dtype == np.uint8
 
     def test_one_codebook_built_once(self):
         book = nf4_codebook()
         assert book is nf4_codebook() and book.levels == NF4_LEVELS
-        # every caller shares the tables, so none may write to them
-        assert not any(t.flags.writeable for t in (book._thr, book._below, book._pairs))
+        # every caller shares the midpoints and the decode table, so none may write to them
+        assert not any(t.flags.writeable for t in (book._midpoints, book._pairs))
+        assert book._midpoints.tolist() == [(a + b) / 2.0 for a, b in zip(NF4_LEVELS, NF4_LEVELS[1:])]
 
 
 class TestQuantize:
@@ -202,6 +208,37 @@ class TestQuantize:
         arrays[field] = arrays[field][:-1]
         with pytest.raises(ShapeError):
             QuantizedMatrix(arrays["packed"], arrays["absmax"], 4, 4, 4)
+
+    def test_rejects_packed_codes_that_are_not_a_uint8_array(self):
+        q = quantize_nf4(np.ones((4, 4)), 4)
+        with pytest.raises(ShapeError, match="dtype"):
+            QuantizedMatrix(q.packed.tolist(), q.absmax, 4, 4, 4)  # int64 once an array
+        with pytest.raises(ShapeError):
+            QuantizedMatrix([[1, 2], [3]], q.absmax, 4, 4, 4)
+        assert QuantizedMatrix(q.packed, q.absmax.tolist(), 4, 4, 4).absmax.tolist() == q.absmax.tolist()
+
+    # Block sizes numpy refuses to allocate at once. Sizes from about 10^8 to
+    # 10^13 elements may be overcommitted and then touched, so none is used.
+    @pytest.mark.parametrize("block_size", [10**15, 2**62])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (5, 3)])
+    def test_a_block_wider_than_the_matrix_is_one_block_of_it(self, tmp_path, block_size, rows, cols):
+        w = rand((rows, cols), seed=rows * cols, scale=1.0)
+        q, whole = quantize_nf4(w, block_size), quantize_nf4(w, rows * cols)
+        assert q.block_size == block_size and q.n_blocks == 1
+        assert q.packed.tobytes() == whole.packed.tobytes()
+        assert q.absmax.tobytes() == whole.absmax.tobytes()
+        assert dequantize_nf4(q).tobytes() == dequantize_nf4(whole).tobytes()
+        chain = mpo_decompose(w, MpoShape([rows], [cols]))
+        write_bundle(tmp_path / "b.dotc", chain, q)
+        back = read_bundle(tmp_path / "b.dotc").residual
+        assert back.block_size == block_size
+        assert back.packed.tobytes() == q.packed.tobytes() and back.absmax.tobytes() == q.absmax.tobytes()
+        assert dequantize_nf4(back).tobytes() == dequantize_nf4(whole).tobytes()
+
+    def test_an_empty_matrix_raises_at_any_block_size(self):
+        for block_size in (1, 64, 10**15):
+            with pytest.raises(ShapeError):
+                quantize_nf4(np.zeros((0, 3)), block_size)
 
     @pytest.mark.parametrize("rows, cols, dtype", [
         (-2, -2, np.float64), (2.0, 2, np.float64), (True, 4, np.float64), (4, 4, np.int32),
