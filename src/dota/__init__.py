@@ -17,13 +17,11 @@ from .fileio import Bundle, read_bundle, read_matrix, write_bundle, write_matrix
 from .harness import (
     AblationConfig,
     Hyper,
-    LoraBaseline,
     SyntheticTask,
     TrainLog,
     ablate,
     balanced_factors,
     default_tensor_shape,
-    lora_init,
     make_task,
     random_init_cores,
     run_experiment,

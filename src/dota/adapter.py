@@ -73,15 +73,16 @@ def _split_bond(chain: CoreChain) -> tuple[int, int]:
                 s) for s in range(1, len(chain)) or range(1))[::-1]
 
 
-def _sweep_is_cheaper(chain: CoreChain, batch: int) -> bool:
-    """Whether the split-bond batch product takes no more multiply-adds than the dense
-    path: x times the delta, the delta's addition and its reconstruction. It decides the
-    backward pass too, where the split path takes four products of the forward's sizes
-    and the dense path two, the rebuild and chain_gradients: both sides about double."""
+def _sweep_bond(chain: CoreChain, batch: int) -> int | None:
+    """The bond to cut at, :func:`_split_bond`'s, if the split-bond batch product takes no
+    more multiply-adds than the dense path (x times the delta, its addition, its rebuild);
+    else None. The backward pass follows it: there the split path takes four products of the
+    forward's sizes and the dense path two, the rebuild and chain_gradients: both about double."""
     shape = chain.shape
     modes = [i * j for i, j in zip(shape.in_factors, shape.out_factors)]
     rebuild = sum(math.prod(modes[:k]) * c.size for k, c in enumerate(chain.cores))
-    return batch * _split_bond(chain)[1] <= (batch + 1) * shape.rows * shape.cols + rebuild
+    s, per_row = _split_bond(chain)
+    return s if batch * per_row <= (batch + 1) * shape.rows * shape.cols + rebuild else None
 
 
 @lru_cache
@@ -92,13 +93,12 @@ def _half_shapes(shape: MpoShape, s: int, r: int) -> tuple[MpoShape, MpoShape]:
     return MpoShape(i[:s] + (1,), j[:s] + (r,)), MpoShape((r,) + i[s:], (1,) + j[s:])
 
 
-def _halves(chain: CoreChain, s: int | None) -> list[tuple]:
-    """The chain cut at bond s (by default :func:`_split_bond`'s): for each half, its cores,
-    their left states from eye(bond), its float64 contraction as a matrix, Lp (I_<s, J_<s * r_s)
-    or Rp (r_s * I_>=s, J_>=s), with W[(i<, i>), (j<, j>)] = sum_a Lp[i<, (j<, a)] Rp[(a, i>), j>],
-    and its MpoShape (:func:`_half_shapes`) for mpo's layout."""
-    cores, s = [c.data for c in chain.cores], _split_bond(chain)[0] if s is None else s
-    r = chain.ranks[s]
+def _halves(chain: CoreChain, s: int) -> list[tuple]:
+    """The chain cut at bond s: for each half, its cores, their left states from eye(bond),
+    its float64 contraction as a matrix, Lp (I_<s, J_<s * r_s) or Rp (r_s * I_>=s, J_>=s),
+    with W[(i<, i>), (j<, j>)] = sum_a Lp[i<, (j<, a)] Rp[(a, i>), j>], and its MpoShape
+    (:func:`_half_shapes`) for mpo's layout."""
+    cores, r = [c.data for c in chain.cores], chain.ranks[s]
     halves = []
     for part, bond, half in zip((cores[:s], cores[s:]), (1, r), _half_shapes(chain.shape, s, r)):
         *lefts, c = _left_sweep(part, np.eye(bond))
@@ -113,7 +113,7 @@ def _left_product(x: np.ndarray, halves) -> tuple[np.ndarray, ...]:
     return lp, rp, xr, np.matmul(lp.T, xr).reshape(-1, len(rp))
 
 
-def _chain_forward(x: np.ndarray, chain: CoreChain, s: int | None = None) -> np.ndarray:
+def _chain_forward(x: np.ndarray, chain: CoreChain, s: int) -> np.ndarray:
     """x @ reconstruct(chain) as (Lp^T x) @ Rp, through the chain cut at bond s (:func:`_halves`)."""
     _, rp, _, t = _left_product(x, _halves(chain, s))
     y = (t @ rp).reshape(len(x), chain.shape.cols)
@@ -121,7 +121,7 @@ def _chain_forward(x: np.ndarray, chain: CoreChain, s: int | None = None) -> np.
 
 
 def _chain_backward(x: np.ndarray, dy: np.ndarray, chain: CoreChain,
-                    s: int | None = None) -> tuple[CoreGradients, np.ndarray]:
+                    s: int) -> tuple[CoreGradients, np.ndarray]:
     """chain_gradients(chain, x.T @ dy) and dy @ reconstruct(chain).T, through the chain cut
     at bond s (:func:`_halves`). With t = Lp^T x, Rp's gradient is t^T dy, and dt = dy Rp^T
     gives dx = Lp dt and Lp's gradient, summed over the batch; :func:`_core_gradients` takes
@@ -258,8 +258,9 @@ class DotaAdapter:
         x = _real(x, "input")
         if x.ndim != 2 or x.shape[1] != self.shape.rows:
             raise ShapeError(f"input shape {x.shape} does not match weight rows {self.shape.rows}")
-        if _sweep_is_cheaper(self.cores, x.shape[0]):
-            y, chain = _beside(x, self.w_res, _chain_forward, x, self.cores)
+        s = _sweep_bond(self.cores, x.shape[0])
+        if s is not None:
+            y, chain = _beside(x, self.w_res, _chain_forward, x, self.cores, s)
             return y + chain
         return x @ self.w_res + x @ reconstruct(self.cores)
 
@@ -277,8 +278,9 @@ class DotaAdapter:
         weight = (self.shape.rows, self.shape.cols)
         if x.shape[0] != dy.shape[0] or (x.shape[1], dy.shape[1]) != weight:
             raise ShapeError(f"x {x.shape} / dy {dy.shape}: batches differ or weight is not {weight}")
-        if _sweep_is_cheaper(self.cores, x.shape[0]):
-            dx_res, (grads, dx) = _beside(dy, self.w_res.T, _chain_backward, x, dy, self.cores)
+        s = _sweep_bond(self.cores, x.shape[0])
+        if s is not None:
+            dx_res, (grads, dx) = _beside(dy, self.w_res.T, _chain_backward, x, dy, self.cores, s)
             return grads, dx_res + dx
         return chain_gradients(self.cores, x.T @ dy), dy @ self.merge().T
 

@@ -32,7 +32,7 @@ from .mpo import (
     reconstruct,
     truncated_ranks,
 )
-from .tensor_core import DenseTensor, _finite, _real
+from .tensor_core import DenseTensor, _finite
 
 METHODS = ("dota", "dota-random", "lora", "full-ft")
 _METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
@@ -150,45 +150,15 @@ def make_task(
     )
 
 
-def _seeded(seed) -> np.random.Generator:
-    """A generator from a SeedSequence or an integer >= 0; else ParameterError naming ``seed``."""
-    _reject(seed=None if isinstance(seed, np.random.SeedSequence) else _count_problem(seed, 0))
-    return np.random.default_rng(seed)
-
-
 def random_init_cores(shape: MpoShape, ranks: Sequence[int], seed) -> CoreChain:
     """Gaussian cores of std 1/sqrt(rows) except the last, which is zero, so
     the chain's contraction vanishes and training starts at the frozen base
-    weight. ``seed`` is an integer >= 0 or a SeedSequence."""
+    weight. ``seed`` is an integer >= 0 or a SeedSequence; else ParameterError naming it."""
     *drawn, last = shape.core_shapes(ranks)
+    _reject(seed=None if isinstance(seed, np.random.SeedSequence) else _count_problem(seed, 0))
+    rng = np.random.default_rng(seed)
     sigma = 1.0 / math.sqrt(shape.rows)
-    rng = _seeded(seed)
     return CoreChain.from_arrays([rng.normal(0.0, sigma, s) for s in drawn] + [np.zeros(last)])
-
-
-@dataclass(eq=False)
-class LoraBaseline:
-    """Low-rank matrix baseline: w0 + a @ b with a Gaussian and b zero at init."""
-
-    w0: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def trainable_params(self) -> int:
-        return self.a.size + self.b.size
-
-
-def lora_init(w0: np.ndarray, rank: int, seed) -> LoraBaseline:
-    """LoRA factors, ``a`` of std 1/sqrt(rows) and ``b`` zero, for the real matrix w0;
-    ``seed`` is an integer >= 0 or a SeedSequence."""
-    _reject(rank=_count_problem(rank, 1))
-    w0 = _real(w0, "matrix", ndim=2)
-    rows, cols = w0.shape
-    rng = _seeded(seed)
-    a = rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, rank))
-    b = np.zeros((rank, cols))
-    return LoraBaseline(w0=w0, a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -207,6 +177,12 @@ class Hyper:
             rank=_count_problem(self.rank, 1),
             eval_every=_count_problem(self.eval_every, 1),
         )
+
+
+def _write_lines(path, lines: Sequence[str]) -> None:
+    """Write ``lines`` to ``path``, each ended by a newline on every platform."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -236,28 +212,26 @@ class TrainLog:
         return lines
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
+        _write_lines(path, self.csv_lines())
 
 
 def _init_state(task: SyntheticTask, method: str, hyper: Hyper):
-    """The frozen base, core arrays and MpoShape of one method at the task's w0: the chain
-    methods' residual or w0 and cores under the task's shape; lora's w0 and its factors a and
-    b as the cores (1, rows, 1, r) and (r, 1, cols, 1) of MpoShape((rows, 1), (1, cols));
+    """The frozen base, core arrays and MpoShape of one method at the task's w0: dota's
+    residual and cores under the task's shape; dota-random's and lora's w0 and
+    :func:`random_init_cores`, under the task's shape and under MpoShape((rows, 1), (1, cols))
+    respectively, where the cores (1, rows, 1, r) and (r, 1, cols, 1) are LoRA's factors;
     full-ft's None and w0 as the one core (1, rows, cols, 1) of MpoShape((rows,), (cols,))."""
     seed = np.random.SeedSequence([task.seed, _STREAM_INIT, _METHOD_IDS[method]])
     shape, rows, cols = task.shape, task.shape.rows, task.shape.cols
     if method == "dota":
         adapter = dota_init(task.w0, shape, hyper.rank)
         return adapter.w_res, [c.data for c in adapter.cores.cores], shape
-    if method == "dota-random":
-        ranks = truncated_ranks(shape, hyper.rank)
-        return task.w0, [c.data for c in random_init_cores(shape, ranks, seed).cores], shape
+    if method == "full-ft":
+        return None, [task.w0.reshape(1, rows, cols, 1)], MpoShape((rows,), (cols,))
     if method == "lora":
-        lora = lora_init(task.w0, hyper.rank, seed)
-        return task.w0, [lora.a.reshape(1, rows, 1, -1), lora.b.reshape(-1, 1, cols, 1)], \
-            MpoShape((rows, 1), (1, cols))
-    return None, [task.w0.reshape(1, rows, cols, 1)], MpoShape((rows,), (cols,))
+        shape = MpoShape((rows, 1), (1, cols))
+    chain = random_init_cores(shape, truncated_ranks(shape, hyper.rank), seed)
+    return task.w0, [c.data for c in chain.cores], shape
 
 
 class _Stack:
@@ -511,5 +485,4 @@ def write_summary_csv(summary: Sequence[tuple[int, str, float, float]], path) ->
     lines = ["step,method,mean_eval_loss,std_eval_loss"]
     for step, method, mean, std in summary:
         lines.append(f"{step},{method},{float(mean)!r},{float(std)!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

@@ -6,11 +6,11 @@ table is built once, at import. Quantization is absmax-blockwise: each block
 of consecutive row-major elements is scaled into [-1, 1] by its largest
 magnitude and each element is rounded to the nearest level (two codes a byte).
 
-Both directions work on chunks of whole blocks, about 256 KB of float64
-each and always an even element count, so each chunk packs into whole
-bytes and its float64 temporaries stay in a 2 MB L2 cache. Only the last
-partial block is padded. Codes, scales and decodes are the same, bit for
-bit, as those of one pass over the whole matrix.
+Both directions work on chunks of whole blocks and an even element count, so each packs into
+whole bytes; only the last partial block is padded. Up to a block size of _CHUNK / 2 a chunk
+is about 256 KB of float64, whose temporaries stay in a 2 MB L2 cache. Above it a chunk is two
+blocks and grows with them: quantize_nf4 peaks at 17.3 MB, 2.06x a 1024x1024 float64 matrix,
+at block size 2^20. Codes, scales and decodes are bit for bit those of one pass over the matrix.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import dota.adapter
 from blas_threads import at_one_and_two_threads, blas_threads
-from dota.adapter import _chain_backward, _chain_forward, _split_bond, _sweep_is_cheaper
+from dota.adapter import _chain_backward, _chain_forward, _split_bond, _sweep_bond
 from dota.mpo import _as_matrix, _as_modes, _left_sweep
 from dota import (
     SHAPE_PRESETS,
@@ -195,8 +195,9 @@ class TestBatchSweep:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(batch, chain.shape.rows)).astype(dtype)
         dy = rng.normal(size=(batch, chain.shape.cols)).astype(dtype)
-        y = _chain_forward(x, chain)
-        grads, dx = _chain_backward(x, dy, chain)
+        s = _split_bond(chain)[0]
+        y = _chain_forward(x, chain, s)
+        grads, dx = _chain_backward(x, dy, chain, s)
         got = [y, dx, *grads.tensors]
         # The dense path on the inputs as given sets the dtypes; run in
         # float64 throughout, as the sweep is, it sets the values.
@@ -217,7 +218,8 @@ class TestBatchSweep:
     def test_matches_central_finite_differences(self):
         chain = mpo_decompose(rand((12, 12), seed=50), MpoShape((2, 3, 2), (3, 2, 2)), 3)
         x, dy = rand((4, 12), seed=51), rand((4, 12), seed=52)
-        grads, _ = _chain_backward(x, dy, chain)
+        s = _split_bond(chain)[0]
+        grads, _ = _chain_backward(x, dy, chain, s)
         h = 1e-6
         for k, (g, core) in enumerate(zip(grads.tensors, chain.cores)):
             numeric = np.zeros(core.shape)
@@ -226,7 +228,7 @@ class TestBatchSweep:
                 for step in (h, -h):
                     arrays = [c.data.copy() for c in chain.cores]
                     arrays[k][idx] += step
-                    values.append(np.sum(_chain_forward(x, CoreChain.from_arrays(arrays)) * dy))
+                    values.append(np.sum(_chain_forward(x, CoreChain.from_arrays(arrays), s) * dy))
                 numeric[idx] = (values[0] - values[1]) / (2 * h)
             assert relative_gap(g, numeric) <= 1e-7
 
@@ -234,8 +236,9 @@ class TestBatchSweep:
         shape = MpoShape.square(SHAPE_PRESETS[1024])
         chain = mpo_decompose(rand((shape.rows, shape.cols), seed=53), shape, 8)
         x, dy = rand((32, shape.rows), seed=54), rand((32, shape.cols), seed=55)
-        first, again = _chain_backward(x, dy, chain), _chain_backward(x, dy, chain)
-        assert _chain_forward(x, chain).tobytes() == _chain_forward(x, chain).tobytes()
+        s = _split_bond(chain)[0]
+        first, again = _chain_backward(x, dy, chain, s), _chain_backward(x, dy, chain, s)
+        assert _chain_forward(x, chain, s).tobytes() == _chain_forward(x, chain, s).tobytes()
         assert first[1].tobytes() == again[1].tobytes()
         for a, b in zip(first[0].tensors, again[0].tensors):
             assert a.tobytes() == b.tobytes()
@@ -306,21 +309,25 @@ class TestPathChoice:
 
     def test_small_layer_sweeps_only_tiny_batches(self):
         chain = zero_chain((4, 4, 4))
-        assert _sweep_is_cheaper(chain, 1)
-        assert _sweep_is_cheaper(chain, 2)
-        assert not _sweep_is_cheaper(chain, 32)
+        bond = _split_bond(chain)[0]
+        assert _sweep_bond(chain, 1) == bond
+        assert _sweep_bond(chain, 2) == bond
+        assert _sweep_bond(chain, 32) is None
+        # a one-core chain sweeps at bond 0, which is not the dense path's None
+        assert _sweep_bond(zero_chain((64,)), 1) == 0
 
     def test_adding_the_delta_counts(self):
         # (4, 4) at R=8, batch 3: 3072 sweep multiply-adds against 2944
         # without the delta's 256-entry addition and 3200 with it.
         chain = zero_chain((4, 4))
-        assert _sweep_is_cheaper(chain, 3)
-        assert not _sweep_is_cheaper(chain, 4)
+        assert _sweep_bond(chain, 3) == _split_bond(chain)[0]
+        assert _sweep_bond(chain, 4) is None
 
     @pytest.mark.parametrize("dim", [1024, 4096])
     @pytest.mark.parametrize("batch", [1, 32, 1024])
     def test_preset_layers_always_sweep(self, dim, batch):
-        assert _sweep_is_cheaper(zero_chain(SHAPE_PRESETS[dim]), batch)
+        # at TestSplitBond's cheapest bond
+        assert _sweep_bond(zero_chain(SHAPE_PRESETS[dim]), batch) == {1024: 2, 4096: 3}[dim]
 
     @pytest.mark.parametrize("batch, sweeps", [(2, True), (32, False)])
     def test_adapter_takes_the_chosen_path(self, monkeypatch, batch, sweeps):
@@ -574,12 +581,12 @@ def preset_adapters():
 def huge_step(adapter, which, sequential=False):
     """y, or dx, of a batch of 1e308 (as x, or as dy): through the adapter, or as the
     residual's product plus the chain's, one after the other on this thread."""
-    big = np.full((32, PRESET.rows), 1e308)
+    big, s = np.full((32, PRESET.rows), 1e308), _split_bond(adapter.cores)[0]
     if which == "forward":
-        return (big @ adapter.w_res + _chain_forward(big, adapter.cores) if sequential
+        return (big @ adapter.w_res + _chain_forward(big, adapter.cores, s) if sequential
                 else adapter.forward(big))
     x = rand((32, PRESET.rows), seed=73)
-    return (big @ adapter.w_res.T + _chain_backward(x, big, adapter.cores)[1] if sequential
+    return (big @ adapter.w_res.T + _chain_backward(x, big, adapter.cores, s)[1] if sequential
             else adapter.backward(x, big)[1])
 
 
@@ -619,9 +626,10 @@ class TestOverlap:
 
         def outputs():
             grads, dx = adapter.backward(x, dy)
-            ref_grads, ref_dx = _chain_backward(x, dy, adapter.cores)
+            s = _split_bond(adapter.cores)[0]
+            ref_grads, ref_dx = _chain_backward(x, dy, adapter.cores, s)
             return ([adapter.forward(x), dx, *grads.tensors],
-                    [x @ adapter.w_res + _chain_forward(x, adapter.cores),
+                    [x @ adapter.w_res + _chain_forward(x, adapter.cores, s),
                      dy @ adapter.w_res.T + ref_dx, *ref_grads.tensors])
 
         for got, ref in at_one_and_two_threads(outputs):
@@ -691,7 +699,8 @@ class TestOverlap:
         sys.setswitchinterval(1e-6)
         try:
             with blas_threads(1):
-                want = [x @ a.w_res + _chain_forward(x, a.cores) for a, x in zip(adapters, xs)]
+                want = [x @ a.w_res + _chain_forward(x, a.cores, _split_bond(a.cores)[0])
+                        for a, x in zip(adapters, xs)]
                 threads = [threading.Thread(target=steps, args=(k,)) for k in range(len(adapters))]
                 for t in threads:
                     t.start()
@@ -763,7 +772,7 @@ class TestOverlap:
             import atexit
             import numpy as np
             import dota
-            from dota.adapter import _chain_backward, _chain_forward
+            from dota.adapter import _chain_backward, _chain_forward, _split_bond
             shape = dota.MpoShape.square(dota.SHAPE_PRESETS[1024])
             rng = np.random.default_rng(75)
             adapter = dota.dota_init(rng.standard_normal((shape.rows, shape.cols)), shape, 8)
@@ -772,8 +781,9 @@ class TestOverlap:
                 grads, dx = adapter.backward(x, dy)
                 return [a.tobytes() for a in (adapter.forward(x), dx, *grads.tensors)]
             def sequential():
-                grads, dx = _chain_backward(x, dy, adapter.cores)
-                y = x @ adapter.w_res + _chain_forward(x, adapter.cores)
+                s = _split_bond(adapter.cores)[0]
+                grads, dx = _chain_backward(x, dy, adapter.cores, s)
+                y = x @ adapter.w_res + _chain_forward(x, adapter.cores, s)
                 return [a.tobytes() for a in (y, dy @ adapter.w_res.T + dx, *grads.tensors)]
             if {first == "before exit"}:
                 step()

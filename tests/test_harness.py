@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from dota import (
     chain_gradients,
     default_tensor_shape,
     dota_init,
-    lora_init,
     make_task,
     mpo_decompose,
     param_count,
@@ -74,8 +74,11 @@ def reference_state(task, method, hyper):
     """(weight, step) of one method's state, built and stepped through the
     public per-state API, apart from the harness's stacked loop."""
     seed = np.random.SeedSequence([task.seed, 3, dota.harness.METHODS.index(method)])
-    if method == "lora":
-        lora = lora_init(task.w0, hyper.rank, seed)
+    if method == "lora":  # LoRA's a, of std 1/sqrt(rows), and b zero, drawn here
+        rows, cols = task.w0.shape
+        rng = np.random.default_rng(seed)
+        lora = SimpleNamespace(a=rng.normal(0.0, 1.0 / math.sqrt(rows), (rows, hyper.rank)),
+                               b=np.zeros((hyper.rank, cols)))
 
         def step(dw, lr):
             ga = dw @ lora.b.T
@@ -83,7 +86,7 @@ def reference_state(task, method, hyper):
             lora.a = lora.a - lr * ga
             lora.b = lora.b - lr * gb
 
-        return lambda: lora.w0 + lora.a @ lora.b, step
+        return lambda: task.w0 + lora.a @ lora.b, step
     if method == "full-ft":
         w = [task.w0.copy()]
 
@@ -335,23 +338,19 @@ class TestRunExperiment:
 
 
 class TestLora:
-    def test_init_effective_weight_is_base(self):
-        w0 = np.random.default_rng(12).normal(size=(16, 8))
-        lora = lora_init(w0, 4, seed=13)
-        assert lora.a.shape == (16, 4)
-        assert np.array_equal(lora.b, np.zeros((4, 8)))
-        assert np.array_equal(lora.w0 + lora.a @ lora.b, w0)
-        assert lora.trainable_params == 4 * (16 + 8)
-
-    @pytest.mark.parametrize("rank", [0, 2.5, True])
-    def test_bad_rank(self, rank):
-        with pytest.raises(ParameterError):
-            lora_init(np.zeros((8, 8)), rank, seed=1)
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
-    def test_bad_seed_is_named(self, seed):
-        with pytest.raises(ParameterError, match="seed"):
-            lora_init(np.zeros((8, 8)), 2, seed)
+    @pytest.mark.parametrize("rank, r", [(4, 4), (40, 32)])  # R above min(rows, cols) is clipped
+    def test_the_grid_starts_lora_as_a_random_two_core_chain(self, rank, r):
+        task = make_task(MpoShape((4, 3, 4), (4, 2, 4)), r_delta=2, delta_scale=0.05, seed=3)
+        hyper = Hyper(steps=0, lr=0.1, rank=rank)
+        base, (a, b), shape = dota.harness._init_state(task, "lora", hyper)
+        assert base is task.w0 and shape == MpoShape((48, 1), (1, 32))
+        assert a.shape == (1, 48, 1, r) and b.shape == (r, 1, 32, 1) and not b.any()
+        seed = np.random.SeedSequence([task.seed, 3, dota.harness.METHODS.index("lora")])
+        gaussian = np.random.default_rng(seed).normal(0.0, 1.0 / math.sqrt(48), (48, r))
+        assert a.tobytes() == gaussian.tobytes()
+        chain = random_init_cores(shape, (1, r, 1), seed)
+        assert [a.tobytes(), b.tobytes()] == [c.data.tobytes() for c in chain.cores]
+        assert run_experiment(task, "lora", hyper).trainable_params == r * (48 + 32)
 
 
 class TestAblate:

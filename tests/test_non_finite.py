@@ -28,7 +28,6 @@ from dota import (
     chain_gradients,
     default_tensor_shape,
     dota_init,
-    lora_init,
     make_task,
     mpo_decompose,
     nf4_codebook,
@@ -228,7 +227,6 @@ REGISTRY = {
     "DotaError": TAKES_NO_ARRAY,
     "FormatError": TAKES_NO_ARRAY,
     "Hyper": {"bool-count": lambda path: Hyper(steps=True, lr=0.1, rank=2)},
-    "LoraBaseline": TAKES_NO_ARRAY,  # a record; lora_init checks its matrix
     "MpoShape": {"bool-count": lambda path: MpoShape((True, 4), (4, 4))},
     "NF4Codebook": {
         **takes(lambda w, path: nf4_codebook().encode(w)),
@@ -257,13 +255,6 @@ REGISTRY = {
         **takes(lambda w, path: dota_init(w, SHAPE, 2)),
         "4x4-1e308": lambda path: dota_init(np.full((4, 4), 1e308), MpoShape.square([2, 2])),
         "bool-count": lambda path: dota_init(rand((16, 16)), SHAPE, True),
-    },
-    "lora_init": {
-        **takes(lambda w, path: lora_init(w, 2, 0)),
-        "vector": lambda path: lora_init(np.ones(4), 2, 0),
-        "bool-count": lambda path: lora_init(rand((16, 16)), True, 0),
-        **{f"seed-{seed}": (lambda path, seed=seed: lora_init(rand((16, 16)), 2, seed))
-           for seed in BAD_SEEDS},
     },
     "make_task": {
         "delta-1e308": lambda path: make_task(SHAPE, 2, 1e308),
