@@ -85,22 +85,16 @@ def _sweep_bond(chain: CoreChain, batch: int) -> int | None:
     return s if batch * per_row <= (batch + 1) * shape.rows * shape.cols + rebuild else None
 
 
-@lru_cache
-def _half_shapes(shape: MpoShape, s: int, r: int) -> tuple[MpoShape, MpoShape]:
-    """The MpoShapes of a chain's halves cut at bond s of rank r, the bond as one
-    more factor pair, (1, r) or (r, 1); built once per cut, like their ``_axes``."""
-    i, j = shape.in_factors, shape.out_factors
-    return MpoShape(i[:s] + (1,), j[:s] + (r,)), MpoShape((r,) + i[s:], (1,) + j[s:])
-
-
 def _halves(chain: CoreChain, s: int) -> list[tuple]:
     """The chain cut at bond s: for each half, its cores, their left states from eye(bond),
     its float64 contraction as a matrix, Lp (I_<s, J_<s * r_s) or Rp (r_s * I_>=s, J_>=s),
     with W[(i<, i>), (j<, j>)] = sum_a Lp[i<, (j<, a)] Rp[(a, i>), j>], and its MpoShape
-    (:func:`_half_shapes`) for mpo's layout."""
+    for mpo's layout, the bond as one more factor pair, (1, r_s) or (r_s, 1)."""
     cores, r = [c.data for c in chain.cores], chain.ranks[s]
+    i, j = chain.shape.in_factors, chain.shape.out_factors
+    shapes = MpoShape(i[:s] + (1,), j[:s] + (r,)), MpoShape((r,) + i[s:], (1,) + j[s:])
     halves = []
-    for part, bond, half in zip((cores[:s], cores[s:]), (1, r), _half_shapes(chain.shape, s, r)):
+    for part, bond, half in zip((cores[:s], cores[s:]), (1, r), shapes):
         *lefts, c = _left_sweep(part, np.eye(bond))
         halves.append((part, lefts, _as_matrix(c, half), half))
     return halves
@@ -236,10 +230,16 @@ class DotaAdapter:
     def __post_init__(self):
         w_res = _real(self.w_res, "residual")
         self.shape.check_matrix(w_res)
-        if self.cores.shape != self.shape:
-            raise ShapeError("core chain factors do not match the adapter shape")
+        self.cores = self.cores  # checked, as every later assignment is
         _finite(w_res, what="residual")
         self.w_res = _as_readonly(w_res)
+
+    def __setattr__(self, name, value):
+        """ShapeError, and no change, for ``cores`` not a CoreChain of ``shape`` once that is set."""
+        if name == "cores" and "shape" in vars(self) and (
+                not isinstance(value, CoreChain) or value.shape != self.shape):
+            raise ShapeError("core chain factors do not match the adapter shape")
+        super().__setattr__(name, value)
 
     @property
     def trainable_params(self) -> int:
@@ -295,8 +295,8 @@ class DotaAdapter:
             kind = NumericError if problem.startswith("expected a finite") else ParameterError
             raise kind(f"learning rate: {problem}")
         with np.errstate(over="ignore", invalid="ignore"):  # the stepped chain checks its cores
-            self.cores = self.cores._stepped([c.data - float(lr) * g.astype(c.dtype, copy=False)
-                                              for c, g in zip(self.cores.cores, grads.tensors)])
+            self.cores = CoreChain.from_arrays([c.data - float(lr) * g.astype(c.dtype, copy=False)
+                                                for c, g in zip(self.cores.cores, grads.tensors)])
 
 
 def dota_init(

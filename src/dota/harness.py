@@ -300,12 +300,12 @@ def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper)
 
     Every run's effective weight sits in one slot of a float64 buffer of shape
     (methods, tasks, rows, cols), allocated once with the residual and gradient
-    buffers. Each step draws the batch and target of every task with a live run
-    once; the residual, both losses and x^T dy are then one numpy call each over
-    the whole grid, and each :class:`_Stack` builds and steps its slots with one
-    call per stage. A diverged run keeps its slot but is never logged again: its
-    weight and cores are zeroed once and its residual at every step, so its
-    later steps do finite work that nothing reads, until its stack has no live run left."""
+    buffers. Each step draws the batch and target of every task once; the residual,
+    both losses and x^T dy are then one numpy call each over the whole grid, and
+    each :class:`_Stack` builds and steps its slots with one call per stage. A
+    diverged run keeps its slot but is never logged again: its weight and cores are
+    zeroed once and its residual at every step, so its later steps do finite work
+    that nothing reads, until its stack has no live run left."""
     for m in set(methods) - set(METHODS):
         raise ParameterError(f"unknown method {m!r} (expected one of {METHODS})")
     order = [m for m in METHODS if m in methods]  # dota and dota-random adjacent
@@ -324,14 +324,14 @@ def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper)
                        for t in tasks])
     y_eval = x_eval @ w_star
     xb, yb = np.empty_like(x_eval), np.empty_like(y_eval)
-    # drawn: the tasks with a live run; active: the stacks with one, the only ones stepped
-    live, drawn, active = np.ones(w.shape[:2], dtype=bool), range(n), stacks
+    # active: the stacks with a live run, the only ones stepped
+    live, active = np.ones(w.shape[:2], dtype=bool), stacks
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(hyper.steps + 1):
-            if not drawn:
+            if not active:
                 break
-            for i in drawn:  # a task with no live run keeps its last batch
-                _rng(tasks[i].seed, _STREAM_BATCH, t + 1).standard_normal(out=xb[i])
+            for i, task in enumerate(tasks):  # a draw depends on (seed, t) alone
+                _rng(task.seed, _STREAM_BATCH, t + 1).standard_normal(out=xb[i])
             np.matmul(xb, w_star, out=yb)
             for s in active:
                 s.weights()
@@ -352,7 +352,6 @@ def _train(tasks: Sequence[SyntheticTask], methods: Sequence[str], hyper: Hyper)
                 for s, runs in zip(stacks, np.split(dead, cuts)):
                     s.zero(runs)
                 live &= ok
-                drawn = np.flatnonzero(live.any(axis=0)).tolist()
                 active = [s for s, runs in zip(stacks, np.split(live, cuts)) if runs.any()]
             if t < hyper.steps:
                 if not live.all():

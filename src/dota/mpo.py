@@ -149,16 +149,6 @@ class CoreChain:
     def from_arrays(cls, arrays: Sequence[np.ndarray]) -> "CoreChain":
         return cls(tuple(DenseTensor(a) for a in arrays))
 
-    def _stepped(self, arrays: Sequence[np.ndarray]) -> "CoreChain":
-        """A chain of fresh ``arrays`` with this chain's core shapes and dtype, frozen
-        in place for DenseTensor to adopt; it keeps this MpoShape, unchecked."""
-        for a in arrays:
-            a.flags.writeable = False
-        chain = object.__new__(type(self))
-        object.__setattr__(chain, "cores", tuple(map(DenseTensor, arrays)))
-        object.__setattr__(chain, "shape", self.shape)  # fills the cached property
-        return chain
-
 
 def max_ranks(shape: MpoShape) -> tuple[int, ...]:
     """Largest possible bond ranks (R_0..R_N): at bond k, the smaller of the

@@ -521,6 +521,20 @@ class TestTraining:
         adapter.cores = zeros
         assert np.array_equal(adapter.merge(), adapter.w_res)
 
+    @pytest.mark.parametrize("init", [dota_init, qdota_init])
+    def test_reassigned_cores_must_chain_to_the_adapter_shape(self, init):
+        adapter = init(rand((16, 16), seed=28), MpoShape.square([4, 4]), 2)
+        before = adapter.cores
+        smaller = dota_init(rand((8, 8), seed=29), MpoShape.square([2, 4]), 2).cores
+        refactored = dota_init(rand((16, 16), seed=29), MpoShape.square([2, 8]), 2).cores
+        for wrong in (smaller, refactored, list(before.cores), None):
+            with pytest.raises(ShapeError, match="adapter shape"):
+                adapter.cores = wrong
+            assert adapter.cores is before
+        zeros = CoreChain.from_arrays([np.zeros(c.shape) for c in before.cores])
+        adapter.cores = zeros
+        assert adapter.cores is zeros
+
     @given(random_chains(), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
     @example(SINGLE_CORE, 45, 0.1)
     @settings(deadline=None, max_examples=60)
@@ -531,7 +545,7 @@ class TestTraining:
         adapter.apply_gradients(grads, lr)
         want = CoreChain.from_arrays([c.data - lr * g.astype(c.dtype)
                                       for c, g in zip(chain.cores, grads.tensors)])
-        assert adapter.cores.shape is chain.shape
+        assert adapter.cores.shape == chain.shape
         assert adapter.cores.ranks == want.ranks
         for got, ref in zip(adapter.cores.cores, want.cores, strict=True):
             assert got.dtype == ref.dtype and got.data.tobytes() == ref.data.tobytes()
